@@ -14,14 +14,10 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_scenarios.py            # full-severity run
     PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke    # CI seconds-scale run
 
-    # parallel==serial gate (CI scheduler-smoke): compare cell metrics
-    # against a previously written record and fail on any difference
+    # n_jobs=1 == n_jobs=2 parity gate (CI): compare cell metrics against
+    # a previously written record and fail on any difference
     PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke \
-        --n-jobs 2 --scheduler cross-cell --check-against BENCH_scenarios_smoke.json
-
-    # grid-level wall-clock comparison: run the grid serially AND through
-    # the cross-cell scheduler at the same seed, verify equality, record both
-    PYTHONPATH=src python benchmarks/bench_scenarios.py --compare-scheduler-jobs 4
+        --n-jobs 2 --check-against BENCH_scenarios_smoke.json
 
     # cache-smoke gate (CI): cold + warm run against a result cache (warm
     # must be 100% hits and >= 5x faster), then a 2-shard run whose merge
@@ -169,12 +165,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n-jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
-        "--scheduler",
-        choices=("per-cell", "cross-cell"),
-        default=None,
-        help="grid execution strategy (default: cross-cell when --n-jobs > 1)",
-    )
-    parser.add_argument(
         "--checkpoint",
         default=None,
         help="JSONL checkpoint to write (and resume from, if it exists)",
@@ -203,15 +193,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="RECORD",
         help="fail if cell metrics differ from this previously written record "
-        "(the CI parallel==serial scheduler gate)",
-    )
-    parser.add_argument(
-        "--compare-scheduler-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also run the grid serially and through the cross-cell scheduler "
-        "at N jobs, verify their cells agree, and record both wall-clocks",
+        "(the CI n_jobs=1 == n_jobs=2 parity gate)",
     )
     parser.add_argument(
         "--output",
@@ -220,8 +202,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.scheduler == "per-cell" and args.checkpoint is not None:
-        parser.error("--checkpoint requires the cross-cell scheduler")
     if args.shard is not None and args.checkpoint is None and args.cache_dir is None:
         parser.error("--shard requires --checkpoint and/or --cache-dir")
 
@@ -233,7 +213,6 @@ def main(argv=None) -> int:
         replications=args.replications,
         n_jobs=args.n_jobs,
         seed=args.seed,
-        scheduler=args.scheduler,
         checkpoint=args.checkpoint,
         cache_dir=args.cache_dir,
         shard=args.shard,
@@ -242,42 +221,7 @@ def main(argv=None) -> int:
     if args.cache_selftest:
         return _cache_selftest(config, args.output)
 
-    if args.compare_scheduler_jobs is not None:
-        # Both comparison legs must actually execute the grid — a resumed
-        # checkpoint would replay units from disk and time JSONL parsing
-        # instead of the scheduler.
-        serial_config = replace(config, n_jobs=1, scheduler="per-cell", checkpoint=None)
-        parallel_config = replace(
-            config,
-            n_jobs=args.compare_scheduler_jobs,
-            scheduler="cross-cell",
-            checkpoint=None,
-        )
-        print("running the grid serially (per-cell scheduler)...")
-        result, serial_seconds = _timed_run(serial_config)
-        print(f"serial grid: {serial_seconds:.1f}s; re-running through the "
-              f"cross-cell scheduler at n_jobs={args.compare_scheduler_jobs}...")
-        parallel_result, parallel_seconds = _timed_run(parallel_config)
-        differences = compare_scenario_records(result, parallel_result)
-        if differences:
-            print("cross-cell scheduler diverged from the serial grid:", file=sys.stderr)
-            for difference in differences:
-                print(f"  {difference}", file=sys.stderr)
-            return 1
-        result["scheduler_comparison"] = {
-            "serial_seconds": serial_seconds,
-            "cross_cell_seconds": parallel_seconds,
-            "cross_cell_n_jobs": args.compare_scheduler_jobs,
-            "speedup": serial_seconds / parallel_seconds,
-            "cells_identical": True,
-        }
-        print(
-            f"cross-cell grid: {parallel_seconds:.1f}s "
-            f"({serial_seconds / parallel_seconds:.2f}x vs serial, cells identical)"
-        )
-    else:
-        result, _ = _timed_run(config)
-
+    result = run_scenario_suite(config)
     print(format_scenario_suite(result))
 
     if args.check_against is not None:

@@ -156,14 +156,20 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return n_jobs
 
 
-#: Backwards-compatible alias of :func:`resolve_n_jobs` (pre-scheduler name).
-_resolve_n_jobs = resolve_n_jobs
-
-
 def _run_method_task(task: Tuple) -> MethodResult:
     """Top-level worker (must be picklable for ProcessPoolExecutor)."""
     spec, train, test_environments, validation = task
     return run_method(spec, train, test_environments, validation)
+
+
+def _map_method_tasks(tasks: Sequence[Tuple], n_jobs: Optional[int]) -> List[MethodResult]:
+    """``_run_method_task`` over ``tasks`` in order: inline when ``n_jobs``
+    resolves to 1 (or there is at most one task), else on a process pool."""
+    n_jobs = resolve_n_jobs(n_jobs)
+    if n_jobs == 1 or len(tasks) <= 1:
+        return [_run_method_task(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
+        return list(pool.map(_run_method_task, tasks))
 
 
 def run_methods(
@@ -186,12 +192,8 @@ def run_methods(
     registered at import time of a module the specs can be unpickled from,
     not interactively, or the workers will not find them.
     """
-    n_jobs = _resolve_n_jobs(n_jobs)
     tasks = [(spec, train, test_environments, validation) for spec in specs]
-    if n_jobs == 1 or len(tasks) <= 1:
-        return [_run_method_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-        return list(pool.map(_run_method_task, tasks))
+    return _map_method_tasks(tasks, n_jobs)
 
 
 def spawn_replication_seeds(seed: int, replications: int) -> List[int]:
@@ -283,7 +285,7 @@ def run_replications(
     results are bitwise identical to the serial path; combinations that
     cannot be stacked silently fall back to serial fits.
     """
-    n_jobs = _resolve_n_jobs(n_jobs)
+    n_jobs = resolve_n_jobs(n_jobs)
     seeds = spawn_replication_seeds(seed, replications)
     protocols = [
         protocol_builder(replication, replication_seed)
@@ -301,11 +303,7 @@ def run_replications(
         for protocol in protocols
         for spec in specs
     ]
-    if n_jobs == 1 or len(tasks) <= 1:
-        flat = [_run_method_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            flat = list(pool.map(_run_method_task, tasks))
+    flat = _map_method_tasks(tasks, n_jobs)
     per_replication = len(specs)
     return [
         flat[index : index + per_replication]

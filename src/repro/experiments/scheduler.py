@@ -1,20 +1,21 @@
 """Cross-cell scheduler: a cacheable, shardable work-unit pipeline over the
 whole scenario grid.
 
-The per-cell path of :func:`repro.experiments.run_scenario_suite` loops over
-(scenario, severity) cells serially and only parallelises the replications
-*within* a cell, so a full-severity grid on multi-core hardware leaves most
-workers idle whenever a cell has fewer tasks than cores.  This module
-flattens the entire ``scenario x severity x replication x method`` grid into
-:class:`WorkUnit` records and drives them through a single shared
-``ProcessPoolExecutor``:
+:func:`repro.experiments.run_scenario_suite` executes every grid through
+this module.  It flattens the entire ``scenario x severity x replication x
+method`` grid into :class:`WorkUnit` records and runs them inline at
+``n_jobs=1`` or through a single shared ``ProcessPoolExecutor`` otherwise,
+so no worker idles while a (scenario, severity) cell has fewer tasks than
+cores:
 
 * **Seed parity** — every unit's dataset seed comes from the same
-  :func:`~repro.experiments.runner.spawn_replication_seeds` spawning the
-  serial path uses, and each worker rebuilds its scenario cell from that
-  seed, so the cross-cell schedule is bit-for-bit identical to the serial
-  sweep at a fixed suite seed (pinned by ``tests/test_scheduler.py`` and
-  re-checked in CI by the scheduler-smoke gate).
+  :func:`~repro.experiments.runner.spawn_replication_seeds` spawning that
+  :func:`~repro.experiments.runner.run_replications` uses, and each unit
+  rebuilds its scenario cell from that seed, so at a fixed suite seed the
+  grid is bit-for-bit identical at every ``n_jobs`` and to one
+  ``run_replications`` call per (scenario, severity) cell (pinned by
+  ``tests/test_scheduler.py`` and re-checked in CI by the
+  ``n_jobs=1 == n_jobs=2`` gate).
 * **Failure isolation** — a diverging unit records an error outcome instead
   of killing the grid; the suite reports the cell as an error row.
 * **Checkpoint / resume** — each completed unit is appended to a JSONL
@@ -24,7 +25,8 @@ flattens the entire ``scenario x severity x replication x method`` grid into
   ResultCache`, every unit's outcome is also stored under a blake2b digest
   of its inputs (:func:`~repro.experiments.cache.unit_cache_key`), so
   unchanged cells are skipped across *invocations and machines*, not just
-  within one checkpointed run.  Only dirty or failed units hit the pool.
+  within one checkpointed run.  Only dirty or failed units are executed.
+  A failed cache write is logged and counted, never fatal.
 * **Sharding** — ``shard=(k, n)`` restricts execution to the units whose
   stable key hash lands in shard ``k`` of ``n`` (:func:`unit_shard`), so n
   machines can split one grid; their checkpoints carry the *full-grid*
@@ -41,13 +43,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, IO, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, IO, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.evaluation import EnvironmentReport, StabilityReport
 from ..scenarios import build_scenario
@@ -75,6 +78,8 @@ __all__ = [
     "serialize_method_result",
     "deserialize_method_result",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: ``kind`` field of the JSONL checkpoint header line.
 CHECKPOINT_KIND = "scenario-scheduler-checkpoint"
@@ -111,9 +116,10 @@ class WorkUnit:
     """One schedulable unit: (scenario, severity, replication, method).
 
     ``replication_seed`` is the :class:`numpy.random.SeedSequence`-spawned
-    seed of this unit's replication — identical to what the serial path
-    hands its protocol builder, which is what makes cross-cell execution
-    bit-for-bit reproducible against the serial sweep.
+    seed of this unit's replication — identical to what
+    :func:`~repro.experiments.runner.run_replications` hands its protocol
+    builder, which is what makes the grid bit-for-bit reproducible at
+    every ``n_jobs``.
     """
 
     scenario: str
@@ -145,6 +151,8 @@ class UnitOutcome:
     cache; ``seconds_saved`` is the recorded compute time a cache hit
     avoided (dataset build + fit + evaluate), and ``build_seconds`` the
     dataset-materialisation time this run actually spent on the unit.
+    ``cache_put_failed`` marks a successful outcome whose result-cache
+    write failed; the result itself is unaffected.
     """
 
     unit: WorkUnit
@@ -154,6 +162,7 @@ class UnitOutcome:
     from_cache: bool = False
     build_seconds: float = 0.0
     seconds_saved: float = 0.0
+    cache_put_failed: bool = False
 
     @property
     def ok(self) -> bool:
@@ -169,11 +178,12 @@ def plan_units(
     num_samples: int,
     dims: Sequence[int],
 ) -> List[WorkUnit]:
-    """Flatten the grid into work units with serial-identical seeds.
+    """Flatten the grid into work units.
 
     The replication seeds are spawned once from the suite seed — the same
-    list for every (scenario, severity) cell, exactly as the serial path's
-    repeated :func:`run_replications` calls see them.
+    list for every (scenario, severity) cell, exactly as one
+    :func:`~repro.experiments.runner.run_replications` call per cell sees
+    them.
     """
     if not scenario_severities:
         raise ValueError("no scenarios selected")
@@ -314,7 +324,7 @@ def _execute_unit(unit: WorkUnit) -> Tuple[MethodResult, float]:
 
     Builds the scenario cell *in the worker* — the build is a pure function
     of ``(scenario, dims, num_samples, severity, seed)``, so the datasets
-    are identical to the parent-built serial ones while dataset construction
+    are identical wherever the unit runs while dataset construction
     parallelises along with training.  Returns the result plus the
     dataset-materialisation wall-clock (the fit/evaluate stages are timed
     inside :func:`run_method`).
@@ -538,6 +548,58 @@ def _cached_seconds(payload: Mapping[str, object]) -> float:
     )
 
 
+def _store_in_cache(cache: ResultCache, outcome: UnitOutcome) -> None:
+    """Write a successful outcome to the result cache.
+
+    The cache is an accelerator, not a source of truth: a failed write
+    (read-only or full disk, vanished directory) is logged and flagged on
+    the outcome, and never changes the unit's result or checkpoint line.
+    """
+    try:
+        cache.put(
+            outcome.unit.cache_key, _cache_payload(outcome.result, outcome.build_seconds)
+        )
+    except OSError as exc:
+        outcome.cache_put_failed = True
+        logger.warning("result-cache write for %s failed: %s", outcome.unit.key, exc)
+
+
+#: What :func:`_execute_pending` yields per unit: the unit, then either
+#: ``(result, build_seconds)`` and ``None`` or ``None`` and the exception.
+_Executed = Tuple[WorkUnit, Optional[Tuple[MethodResult, float]], Optional[Exception]]
+
+
+def _execute_pending(units: Sequence[WorkUnit], n_jobs: int) -> Iterator[_Executed]:
+    """Execute ``units`` and yield each one as it finishes.
+
+    Runs inline when ``n_jobs == 1`` (or there is at most one unit) and on
+    one shared process pool otherwise.  A unit that raises is yielded with
+    its exception; a dead worker (OOM-kill, segfault) breaks every pending
+    future — that is an infrastructure failure, not a diverging cell, so
+    it raises instead of stamping the rest of the grid as error rows.
+    """
+    if n_jobs == 1 or len(units) <= 1:
+        for unit in units:
+            try:
+                executed = _execute_unit(unit)
+            except Exception as exc:  # noqa: BLE001 - failure isolation
+                yield unit, None, exc
+                continue
+            yield unit, executed, None
+        return
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(units))) as pool:
+        futures = {pool.submit(_execute_unit, unit): unit for unit in units}
+        for future in as_completed(futures):
+            exc = future.exception()
+            if isinstance(exc, BrokenProcessPool):
+                raise RuntimeError(
+                    "worker pool collapsed (a worker process died, e.g. "
+                    "OOM-killed) — completed units are in the checkpoint; "
+                    "rerun with the same checkpoint to resume"
+                ) from exc
+            yield futures[future], (None if exc is not None else future.result()), exc
+
+
 def run_cross_cell(
     units: Sequence[WorkUnit],
     n_jobs: int = 1,
@@ -545,14 +607,15 @@ def run_cross_cell(
     cache: Optional[ResultCache] = None,
     shard: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, UnitOutcome]:
-    """Run the flattened grid through one shared worker pool.
+    """Run the flattened grid, inline at ``n_jobs=1`` or on one shared pool.
 
     ``units`` is always the *full* planned grid; ``shard=(k, n)`` restricts
     execution to this machine's stable-hash slice while fingerprinting (and
     checkpoint-heading) the whole grid, so shard checkpoints can later be
     verified and unioned.  Returns ``{unit.key: UnitOutcome}`` for every
     unit this invocation is responsible for.  A unit that raises is
-    recorded as an error outcome (the grid keeps going).
+    recorded as an error outcome (the grid keeps going) at every
+    ``n_jobs``.
 
     With ``checkpoint`` set, every completed unit is appended to the JSONL
     file as it finishes, and an existing matching checkpoint is resumed —
@@ -560,8 +623,9 @@ def run_cross_cell(
     ``cache`` set, pending units are first looked up in the
     content-addressed result cache (hits are recorded to the checkpoint
     like computed units, so shard checkpoints stay mergeable), checkpoint
-    replays are promoted into the cache, and every fresh success is stored
-    under its :func:`~repro.experiments.cache.unit_cache_key`.
+    replays are promoted into the cache wherever it holds no readable
+    entry (repairing torn ones), and every fresh success is stored under
+    its :func:`~repro.experiments.cache.unit_cache_key`.
     """
     n_jobs = resolve_n_jobs(n_jobs)
     if shard is not None:
@@ -603,12 +667,10 @@ def run_cross_cell(
     if cache is not None:
         # Promote checkpoint-replayed results into the cache, so an old
         # (pre-cache) checkpoint seeds the cache for every later grid.
+        # ``get`` rather than ``in``: a torn entry exists but is a miss.
         for outcome in outcomes.values():
-            if outcome.ok and outcome.unit.cache_key not in cache:
-                cache.put(
-                    outcome.unit.cache_key,
-                    _cache_payload(outcome.result, outcome.build_seconds),
-                )
+            if outcome.ok and cache.get(outcome.unit.cache_key) is None:
+                _store_in_cache(cache, outcome)
 
     def record(
         unit: WorkUnit,
@@ -618,7 +680,7 @@ def run_cross_cell(
         from_cache: bool = False,
         seconds_saved: float = 0.0,
     ) -> None:
-        outcomes[unit.key] = UnitOutcome(
+        outcome = outcomes[unit.key] = UnitOutcome(
             unit=unit,
             result=result,
             error=error,
@@ -639,7 +701,7 @@ def run_cross_cell(
                 payload = {"key": unit.key, "ok": False, "error": error}
             _checkpoint_line(handle, payload)
         if cache is not None and error is None and not from_cache:
-            cache.put(unit.cache_key, _cache_payload(result, build_seconds))
+            _store_in_cache(cache, outcome)
 
     pending: List[WorkUnit] = []
     for unit in mine:
@@ -660,36 +722,12 @@ def run_cross_cell(
         pending.append(unit)
 
     try:
-        if n_jobs == 1 or len(pending) <= 1:
-            for unit in pending:
-                try:
-                    result, build_seconds = _execute_unit(unit)
-                    record(unit, result, None, build_seconds=build_seconds)
-                except Exception as exc:  # noqa: BLE001 - failure isolation
-                    record(unit, None, f"{type(exc).__name__}: {exc}")
-        else:
-            with ProcessPoolExecutor(max_workers=min(n_jobs, len(pending))) as pool:
-                futures = {pool.submit(_execute_unit, unit): unit for unit in pending}
-                for future in as_completed(futures):
-                    unit = futures[future]
-                    exc = future.exception()
-                    if isinstance(exc, BrokenProcessPool):
-                        # A dead worker (OOM-kill, segfault) breaks every
-                        # pending future — that is an infrastructure
-                        # failure, not a diverging cell, so surface it
-                        # instead of stamping the rest of the grid as
-                        # error rows.
-                        raise RuntimeError(
-                            "worker pool collapsed (a worker process died, "
-                            "e.g. OOM-killed) — completed units are in the "
-                            "checkpoint; rerun with the same checkpoint to "
-                            "resume"
-                        ) from exc
-                    if exc is not None:
-                        record(unit, None, f"{type(exc).__name__}: {exc}")
-                    else:
-                        result, build_seconds = future.result()
-                        record(unit, result, None, build_seconds=build_seconds)
+        for unit, executed, exc in _execute_pending(pending, n_jobs):
+            if exc is not None:
+                record(unit, None, f"{type(exc).__name__}: {exc}")
+            else:
+                result, build_seconds = executed
+                record(unit, result, None, build_seconds=build_seconds)
     finally:
         if handle is not None:
             handle.close()

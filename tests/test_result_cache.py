@@ -231,6 +231,55 @@ class TestRunCrossCellCache:
         served = run_cross_cell(units, n_jobs=1, cache=ResultCache(str(tmp_path / "cache")))
         assert all(outcome.from_cache for outcome in served.values())
 
+    def test_checkpoint_resume_repairs_a_torn_entry(self, fast_config, tmp_path):
+        units = small_units(fast_config, replications=1)
+        checkpoint = str(tmp_path / "grid.jsonl")
+        cache_dir = str(tmp_path / "cache")
+        run_cross_cell(units, n_jobs=1, checkpoint=checkpoint, cache=ResultCache(cache_dir))
+        victim = units[0].cache_key
+        with open(os.path.join(cache_dir, f"{victim}.json"), "w", encoding="utf-8") as handle:
+            handle.write("{torn")
+        # Every unit replays from the checkpoint; the torn file exists but
+        # is a miss, so the replay must still be promoted over it.
+        replayed = run_cross_cell(
+            units, n_jobs=1, checkpoint=checkpoint, cache=ResultCache(cache_dir)
+        )
+        assert all(outcome.from_checkpoint for outcome in replayed.values())
+        assert ResultCache(cache_dir).get(victim) is not None
+
+
+class TestCacheWriteFailure:
+    """The cache is an accelerator: a failed write never touches results."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_failed_put_keeps_results_and_checkpoint(
+        self, fast_config, tmp_path, monkeypatch, caplog, n_jobs
+    ):
+        def read_only_put(self, key, payload):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(ResultCache, "put", read_only_put)
+        checkpoint = str(tmp_path / "grid.jsonl")
+        record = run_scenario_suite(
+            suite_config(
+                fast_config,
+                n_jobs=n_jobs,
+                checkpoint=checkpoint,
+                cache_dir=str(tmp_path / "cache"),
+            )
+        )
+        cells = [
+            cell for scenario in record["scenarios"].values() for cell in scenario["cells"]
+        ]
+        assert cells and all(cell["error"] is None for cell in cells)
+        assert record["cache"]["misses"] == 8 and record["cache"]["put_errors"] == 8
+        assert "8 cache writes failed" in format_suite_summary(record)
+        assert "Read-only file system" in caplog.text
+        # Exactly one ok line per unit: no contradictory failure records.
+        with open(checkpoint, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle.read().splitlines()[1:]]
+        assert len(lines) == 8 and all(line["ok"] for line in lines)
+
 
 class TestSharding:
     def test_parse_shard(self):
@@ -357,10 +406,11 @@ class TestSuiteRecordBlocks:
         assert warm["stages"]["fit_seconds"] == 0.0
         assert warm["stages"]["materialise_seconds"] == 0.0
 
-    def test_per_cell_record_has_blocks_too(self, fast_config):
-        record = run_scenario_suite(suite_config(fast_config, scheduler="per-cell"))
+    def test_uncached_record_has_blocks_too(self, fast_config):
+        record = run_scenario_suite(suite_config(fast_config))
         assert record["cache"]["enabled"] is False
-        assert record["stages"]["fit_seconds"] is None
+        assert record["cache"]["misses"] == 8 and record["cache"]["put_errors"] == 0
+        assert record["stages"]["fit_seconds"] > 0.0
         assert record["stages"]["execute_seconds"] > 0.0
 
     def test_summary_formatting(self, cached_records):
@@ -369,10 +419,3 @@ class TestSuiteRecordBlocks:
         assert "stages:" in summary and "cache:" in summary
         assert "8 hits / 0 misses (100% hit rate)" in summary
         assert format_suite_summary({"benchmark": "scenario-matrix"}) == ""
-
-    def test_cache_requires_cross_cell(self, fast_config, tmp_path):
-        config = suite_config(
-            fast_config, scheduler="per-cell", cache_dir=str(tmp_path / "c")
-        )
-        with pytest.raises(ValueError, match="cross-cell"):
-            run_scenario_suite(config)

@@ -1,10 +1,12 @@
 """Tests for the cross-cell scenario scheduler.
 
-The scheduler's contract: at a fixed suite seed the flattened cross-cell
-grid is bit-for-bit identical to the serial per-cell sweep (apart from
-measured wall-clock), one diverging unit reports an error row instead of
-killing the grid, and an interrupted run resumes from its JSONL checkpoint
-to the exact record an uninterrupted run produces.
+The scheduler's contract: at a fixed suite seed the flattened grid is
+bit-for-bit identical at ``n_jobs=1`` and ``n_jobs=2`` and to a reference
+sweep that calls :func:`run_replications` once per (scenario, severity)
+cell (apart from measured wall-clock), one diverging unit reports an error
+row instead of killing the grid at every ``n_jobs``, and an interrupted
+run resumes from its JSONL checkpoint to the exact record an uninterrupted
+run produces.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import json
 import pytest
 
 from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, TrainingConfig
-from repro.experiments import MethodSpec
+from repro.experiments import MethodSpec, run_replications
 from repro.experiments.scenario_suite import (
     ScenarioSuiteConfig,
+    _aggregate_cell,
+    _scenario_records,
     compare_scenario_records,
     run_scenario_suite,
     scenario_cell_metrics,
@@ -28,7 +32,7 @@ from repro.experiments.scheduler import (
     unit_key,
 )
 from repro.registry import scenarios as SCENARIO_REGISTRY
-from repro.scenarios import Scenario
+from repro.scenarios import Scenario, build_scenario
 
 
 @pytest.fixture(scope="module")
@@ -66,37 +70,6 @@ def suite_config(scheduler_config, **overrides) -> ScenarioSuiteConfig:
     return ScenarioSuiteConfig(**options)
 
 
-class TestResolvedScheduler:
-    def test_auto_is_per_cell_when_serial(self):
-        assert ScenarioSuiteConfig(n_jobs=1).resolved_scheduler() == "per-cell"
-
-    def test_auto_is_cross_cell_when_parallel(self):
-        assert ScenarioSuiteConfig(n_jobs=2).resolved_scheduler() == "cross-cell"
-
-    def test_checkpoint_implies_cross_cell(self):
-        config = ScenarioSuiteConfig(n_jobs=1, checkpoint="grid.jsonl")
-        assert config.resolved_scheduler() == "cross-cell"
-
-    def test_explicit_scheduler_wins(self):
-        assert (
-            ScenarioSuiteConfig(n_jobs=4, scheduler="per-cell").resolved_scheduler()
-            == "per-cell"
-        )
-        assert (
-            ScenarioSuiteConfig(n_jobs=1, scheduler="cross-cell").resolved_scheduler()
-            == "cross-cell"
-        )
-
-    def test_unknown_scheduler_raises(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            ScenarioSuiteConfig(scheduler="magic").resolved_scheduler()
-
-    def test_per_cell_with_checkpoint_raises(self):
-        config = ScenarioSuiteConfig(scheduler="per-cell", checkpoint="grid.jsonl")
-        with pytest.raises(ValueError, match="cross-cell"):
-            config.resolved_scheduler()
-
-
 class TestPlanUnits:
     def test_grid_is_fully_flattened(self, scheduler_config):
         config = suite_config(scheduler_config)
@@ -112,7 +85,7 @@ class TestPlanUnits:
         assert len(units) == 2 * 2 * 2 * len(specs)
         assert len({unit.key for unit in units}) == len(units)
         # Every replication index shares its seed across cells, exactly as
-        # the serial path's repeated run_replications calls see them.
+        # one run_replications call per cell sees them.
         seeds = {
             (unit.replication, unit.replication_seed) for unit in units
         }
@@ -129,33 +102,65 @@ class TestPlanUnits:
             plan_units({"overlap": (0.0,)}, [], 1, 0, 100, config.dims)
 
 
+def reference_record(config: ScenarioSuiteConfig) -> dict:
+    """The grid computed one (scenario, severity) cell at a time through the
+    public ``run_replications`` — the oracle the suite must reproduce."""
+    specs = config.resolved_methods(config.seed)
+    items, cells_by_scenario = [], {}
+    for name in config.resolved_scenarios():
+        scenario = build_scenario(name, dims=config.dims)
+        cells = []
+        for severity in config.severities:
+
+            def build_protocol(replication, replication_seed, _severity=severity):
+                return scenario.build(
+                    config.num_samples, _severity, seed=replication_seed % (2 ** 31)
+                ).as_protocol()
+
+            per_replication = run_replications(
+                specs, build_protocol, replications=config.replications, seed=config.seed
+            )
+            for index, spec in enumerate(specs):
+                results = [results[index] for results in per_replication]
+                cells.append(_aggregate_cell(name, severity, spec.name, results))
+        items.append((name, scenario.describe(), list(config.severities)))
+        cells_by_scenario[name] = cells
+    methods = [spec.name for spec in specs]
+    return {"scenarios": _scenario_records(items, methods, cells_by_scenario)}
+
+
 class TestParallelEqualsSerial:
-    """The acceptance gate: cross-cell == serial, bit for bit, at one seed."""
+    """The acceptance gate: n_jobs=1 == n_jobs=2 == the cell-by-cell
+    ``run_replications`` reference, bit for bit, at one seed."""
 
     @pytest.fixture(scope="class")
     def records(self, scheduler_config):
-        serial = run_scenario_suite(
-            suite_config(scheduler_config, n_jobs=1, scheduler="per-cell")
-        )
+        serial = run_scenario_suite(suite_config(scheduler_config, n_jobs=1))
         parallel = run_scenario_suite(suite_config(scheduler_config, n_jobs=2))
-        return serial, parallel
+        reference = reference_record(suite_config(scheduler_config))
+        return serial, parallel, reference
 
     def test_schedulers_resolved_as_expected(self, records):
-        serial, parallel = records
-        assert serial["suite"]["scheduler"] == "per-cell"
-        assert parallel["suite"]["scheduler"] == "cross-cell"
+        # One execution path at every n_jobs: the record names the n_jobs
+        # it ran at and carries no scheduler choice.
+        serial, parallel, _ = records
+        assert serial["suite"]["n_jobs"] == 1 and parallel["suite"]["n_jobs"] == 2
+        assert "scheduler" not in serial["suite"] and "scheduler" not in parallel["suite"]
 
     def test_cell_metrics_bit_identical(self, records):
-        serial, parallel = records
+        serial, parallel, reference = records
         assert compare_scenario_records(serial, parallel) == []
+        assert compare_scenario_records(reference, serial) == []
         # Spot-check that the comparison actually saw float metrics.
         rows = scenario_cell_metrics(serial)
         assert rows and all("pehe_mean" in row for row in rows.values())
+        assert rows.keys() == scenario_cell_metrics(reference).keys()
         for key, row in rows.items():
             assert row == scenario_cell_metrics(parallel)[key]
+            assert row == scenario_cell_metrics(reference)[key]
 
     def test_comparison_detects_differences(self, records):
-        serial, parallel = records
+        serial, parallel, _ = records
         mutated = json.loads(json.dumps(parallel))
         first = mutated["scenarios"]["overlap"]["cells"][0]
         first["pehe_mean"] = first["pehe_mean"] + 1.0
@@ -328,7 +333,6 @@ class TestFailureIsolation:
                 scheduler_config,
                 scenario_names=["overlap", "exploding-test-scenario"],
                 replications=1,
-                scheduler="cross-cell",
             )
             record = run_scenario_suite(config)
         finally:
@@ -354,6 +358,31 @@ class TestFailureIsolation:
         assert slopes["pehe_at_max"] is None
         assert slopes["pehe_slope"] == 0.0
 
+    def test_serial_grid_reports_error_row_instead_of_raising(self, scheduler_config):
+        # n_jobs=1 runs the same unit pipeline as the pool, so a raising
+        # scenario becomes the same error row, not an exception out of the
+        # suite.
+        SCENARIO_REGISTRY.register("exploding-test-scenario", _ExplodingScenario)
+        try:
+            serial, pooled = [
+                run_scenario_suite(
+                    suite_config(
+                        scheduler_config,
+                        scenario_names=["exploding-test-scenario"],
+                        replications=1,
+                        n_jobs=n_jobs,
+                    )
+                )
+                for n_jobs in (1, 2)
+            ]
+        finally:
+            SCENARIO_REGISTRY.unregister("exploding-test-scenario")
+        cells = serial["scenarios"]["exploding-test-scenario"]["cells"]
+        assert [cell["severity"] for cell in cells] == [0.0, 1.0]
+        assert cells[0]["error"] is None
+        assert "RuntimeError: synthetic divergence" in cells[1]["error"]
+        assert compare_scenario_records(serial, pooled) == []
+
     def test_fully_failed_method_gets_null_degradation(self, scheduler_config):
         SCENARIO_REGISTRY.register("exploding-test-scenario", _ExplodingScenario)
         try:
@@ -362,7 +391,6 @@ class TestFailureIsolation:
                 scenario_names=["exploding-test-scenario"],
                 severities=(0.5, 1.0),
                 replications=1,
-                scheduler="cross-cell",
             )
             record = run_scenario_suite(config)
         finally:
