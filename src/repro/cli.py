@@ -158,6 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     train_bench.add_argument(
         "--output", default=None, help="write the JSON record to this path"
     )
+    train_bench.add_argument(
+        "--check-against", default=None, metavar="BASELINE_JSON",
+        help="fail on a >2x step-time regression against this committed record",
+    )
 
     autodiff_bench = subparsers.add_parser(
         "bench-autodiff",
@@ -169,6 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     autodiff_bench.add_argument("--seed", type=int, default=2024)
     autodiff_bench.add_argument(
         "--output", default=None, help="write the JSON record to this path"
+    )
+    autodiff_bench.add_argument(
+        "--check-against", default=None, metavar="BASELINE_JSON",
+        help="fail on a >2x step-time regression (or any growth of the fused "
+        "decorrelation graph) against this committed record",
     )
 
     online_bench = subparsers.add_parser(
@@ -236,6 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K/N",
         help="run only shard K of N (1-based, stable key hash); requires "
         "--checkpoint and/or --cache-dir, merge with 'repro scenarios-merge'",
+    )
+    scenarios.add_argument(
+        "--cache-selftest",
+        action="store_true",
+        help="CI cache gate: run the grid cold then warm against a result "
+        "cache (asserting 100%% hits and a >= 5x speedup), then run it as "
+        "two shards and verify the merged record matches the unsharded run "
+        "bit for bit",
+    )
+    scenarios.add_argument(
+        "--check-against",
+        default=None,
+        metavar="RECORD",
+        help="fail if cell metrics differ from this previously written record "
+        "(the CI n_jobs=1 == n_jobs=2 parity gate)",
     )
     scenarios.add_argument(
         "--output", default=None, help="write the JSON record to this path"
@@ -392,14 +416,30 @@ def _command_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
-    from .experiments.serving_benchmark import (
-        benchmark_serving,
-        format_serving_benchmark,
-        write_benchmark,
-    )
+def _finish_record(result: dict, args: argparse.Namespace, formatter, module) -> int:
+    """Print a benchmark record, write it to ``--output``, apply the hard
+    gates of its ``module`` and, with ``--check-against``, its perf gates.
 
-    result = benchmark_serving(
+    Returns the exit code: 1 when any gate failed, else 0.
+    """
+    from .experiments.perf_gate import check_perf_regression, write_record
+
+    print(formatter(result))
+    if args.output is not None:
+        print(f"wrote {write_record(result, args.output)}")
+    failures = module.gate_failures(result)
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    code = 1 if failures else 0
+    if args.check_against is not None:
+        code = max(code, check_perf_regression(result, args.check_against, module.PERF_GATES))
+    return code
+
+
+def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
+    from .experiments import serving_benchmark
+
+    result = serving_benchmark.benchmark_serving(
         smoke=args.smoke,
         concurrency=args.concurrency,
         requests_per_thread=args.requests_per_thread,
@@ -408,47 +448,15 @@ def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
         arrival=args.arrival,
         seed=args.seed,
     )
-    print(format_serving_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
-    failures = 0
-    swap = result["hot_swap"]
-    if swap["failed_requests"] or swap["frontend_failed_requests"]:
-        print("FAIL: requests failed during the hot-swap phase")
-        failures += 1
-    if not result["coalesced_matches_direct"]:
-        print("FAIL: coalesced answers diverge from direct predictions")
-        failures += 1
-    if args.check_against is not None:
-        from .experiments.perf_gate import check_perf_regression
-
-        failures += check_perf_regression(
-            result,
-            args.check_against,
-            (
-                (
-                    "direct seconds/1k requests",
-                    lambda record: record["sustained"]["direct"]["seconds_per_1k_requests"],
-                    "direct_seconds_per_1k_requests",
-                ),
-                (
-                    "coalesced seconds/1k requests",
-                    lambda record: record["sustained"]["coalesced"]["seconds_per_1k_requests"],
-                    "coalesced_seconds_per_1k_requests",
-                ),
-            ),
-        )
-    return 1 if failures else 0
+    return _finish_record(
+        result, args, serving_benchmark.format_serving_benchmark, serving_benchmark
+    )
 
 
 def _command_online_bench(args: argparse.Namespace) -> int:
-    from .experiments.online_benchmark import (
-        benchmark_online,
-        format_online_benchmark,
-        write_benchmark,
-    )
+    from .experiments import online_benchmark
 
-    result = benchmark_online(
+    result = online_benchmark.benchmark_online(
         smoke=args.smoke,
         num_samples=args.num_samples,
         num_steps=args.steps,
@@ -456,37 +464,9 @@ def _command_online_bench(args: argparse.Namespace) -> int:
         refit_epochs=args.refit_epochs,
         seed=args.seed,
     )
-    print(format_online_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
-    failures = 0
-    if not result["gates"]["all_passed"]:
-        print("FAIL: one or more online-serving acceptance gates failed")
-        failures += 1
-    if args.check_against is not None:
-        from .experiments.perf_gate import check_perf_regression
-
-        failures += check_perf_regression(
-            result,
-            args.check_against,
-            (
-                (
-                    "warm refit seconds",
-                    lambda record: next(
-                        entry["warm_seconds"]
-                        for entry in record["tradeoff"]["curve"]
-                        if entry["epochs"] == record["config"]["refit_epochs"]
-                    ),
-                    "warm_refit_seconds",
-                ),
-                (
-                    "cold refit seconds",
-                    lambda record: record["tradeoff"]["cold_seconds"],
-                    "cold_refit_seconds",
-                ),
-            ),
-        )
-    return 1 if failures else 0
+    return _finish_record(
+        result, args, online_benchmark.format_online_benchmark, online_benchmark
+    )
 
 
 def _command_serve_bench(args: argparse.Namespace) -> int:
@@ -539,52 +519,61 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _command_train_bench(args: argparse.Namespace) -> int:
-    from .experiments.training_benchmark import (
-        benchmark_training,
-        format_benchmark,
-        write_benchmark,
-    )
+    from .experiments import training_benchmark
 
-    result = benchmark_training(
+    result = training_benchmark.benchmark_training(
         smoke=args.smoke,
         num_samples=args.num_samples,
         batch_size=args.batch_size,
         n_jobs=args.n_jobs,
         seed=args.seed,
     )
-    print(format_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
-    return 0
+    return _finish_record(
+        result, args, training_benchmark.format_benchmark, training_benchmark
+    )
 
 
 def _command_bench_autodiff(args: argparse.Namespace) -> int:
-    from .experiments.autodiff_benchmark import (
-        benchmark_autodiff,
-        format_autodiff_benchmark,
-        write_benchmark,
-    )
+    from .experiments import autodiff_benchmark
 
-    result = benchmark_autodiff(
+    result = autodiff_benchmark.benchmark_autodiff(
         smoke=args.smoke,
         num_samples=args.num_samples,
         iterations=args.iterations,
         seed=args.seed,
     )
-    print(format_autodiff_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
-    return 0
+    return _finish_record(
+        result, args, autodiff_benchmark.format_autodiff_benchmark, autodiff_benchmark
+    )
 
 
-def _command_scenarios(args: argparse.Namespace) -> int:
+def _print_suite(result: dict, output: Optional[str]) -> int:
+    """Print a suite record, write it to ``output``; returns the exit code."""
+    from .experiments.perf_gate import write_record
     from .experiments.scenario_suite import (
-        ScenarioSuiteConfig,
         format_scenario_suite,
         format_suite_summary,
         report_error_cells,
+    )
+
+    print(format_scenario_suite(result))
+    summary = format_suite_summary(result)
+    if summary:
+        print(summary)
+    if output is not None:
+        print(f"wrote {write_record(result, output)}")
+    return report_error_cells(result)
+
+
+def _command_scenarios(args: argparse.Namespace) -> int:
+    import json
+
+    from .experiments.perf_gate import write_record
+    from .experiments.scenario_suite import (
+        ScenarioSuiteConfig,
+        cache_selftest,
+        compare_scenario_records,
         run_scenario_suite,
-        write_scenario_suite,
     )
 
     checkpoint = args.checkpoint
@@ -608,24 +597,29 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         shard=args.shard,
     )
+    if args.cache_selftest:
+        result = cache_selftest(config)
+        if args.output is not None:
+            print(f"wrote {write_record(result, args.output)}")
+        return 0 if result["cache_smoke"]["passed"] else 1
+
     result = run_scenario_suite(config)
-    print(format_scenario_suite(result))
-    summary = format_suite_summary(result)
-    if summary:
-        print(summary)
-    if args.output is not None:
-        print(f"wrote {write_scenario_suite(result, args.output)}")
-    return report_error_cells(result)
+    code = _print_suite(result, args.output)
+    if args.check_against is not None:
+        with open(args.check_against, encoding="utf-8") as handle:
+            reference = json.load(handle)
+        differences = compare_scenario_records(reference, result)
+        if differences:
+            print(f"cell metrics diverged from {args.check_against}:", file=sys.stderr)
+            for difference in differences:
+                print(f"  {difference}", file=sys.stderr)
+            return 1
+        print(f"cell metrics identical to {args.check_against}")
+    return code
 
 
 def _command_scenarios_merge(args: argparse.Namespace) -> int:
-    from .experiments.scenario_suite import (
-        format_scenario_suite,
-        format_suite_summary,
-        merge_scenario_shards,
-        report_error_cells,
-        write_scenario_suite,
-    )
+    from .experiments.scenario_suite import merge_scenario_shards
     from .experiments.scheduler import CheckpointError
 
     try:
@@ -633,13 +627,7 @@ def _command_scenarios_merge(args: argparse.Namespace) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_scenario_suite(result))
-    summary = format_suite_summary(result)
-    if summary:
-        print(summary)
-    if args.output is not None:
-        print(f"wrote {write_scenario_suite(result, args.output)}")
-    return report_error_cells(result)
+    return _print_suite(result, args.output)
 
 
 _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {

@@ -38,7 +38,6 @@ from .scenario_suite import (
     merge_scenario_shards,
     run_scenario_suite,
     scenario_cell_metrics,
-    write_scenario_suite,
 )
 from .scheduler import (
     CheckpointError,
@@ -53,7 +52,7 @@ from .scheduler import (
 from .search import SearchSpace, SearchTrial, random_search
 from .autodiff_benchmark import benchmark_autodiff
 from .online_benchmark import benchmark_online, format_online_benchmark
-from .perf_gate import check_perf_regression
+from .perf_gate import check_perf_regression, write_record
 from .training_benchmark import benchmark_training
 from .tables import (
     TableResult,
@@ -94,6 +93,7 @@ __all__ = [
     "benchmark_online",
     "format_online_benchmark",
     "check_perf_regression",
+    "write_record",
     "default_method_grid",
     "TableResult",
     "table1_synthetic",
@@ -112,7 +112,6 @@ __all__ = [
     "degradation_slope",
     "format_scenario_suite",
     "format_suite_summary",
-    "write_scenario_suite",
     "scenario_cell_metrics",
     "compare_scenario_records",
     "SearchSpace",

@@ -12,18 +12,15 @@ Quantifies the PR-4 engine overhaul along four axes:
   request-sized batches, plus end-to-end :class:`PredictionService` latency;
 * **dtype** — float64 vs opt-in float32 training throughput.
 
-``benchmarks/bench_autodiff.py`` wraps this module as a CI-runnable script
-(``--smoke``) that can also gate on a committed baseline
-(``--check-against``); ``repro bench-autodiff`` exposes it from the CLI.
+``repro bench-autodiff`` runs this module and writes ``BENCH_autodiff.json``;
+CI runs it with ``--smoke --check-against BENCH_autodiff.json`` against the
+perf gates declared once in :data:`PERF_GATES`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -35,10 +32,11 @@ from ..metrics.ipm import mmd_rbf_weighted
 from ..nn import functional as F
 from ..nn.tensor import Tensor, as_tensor, dtype_scope, graph_node_count, tensor_alloc_count
 from ..serve import PredictionService
+from .perf_gate import PerfGate, machine_block, smoke_reference
 from .reporting import format_table
 from .training_benchmark import _engine_config
 
-__all__ = ["benchmark_autodiff", "format_autodiff_benchmark", "write_benchmark"]
+__all__ = ["benchmark_autodiff", "format_autodiff_benchmark", "gate_failures", "PERF_GATES"]
 
 #: Seconds-per-iteration of the PR-2 full-batch baseline (committed
 #: BENCH_training.json: 80.17 s over 40 iterations at the same setting).
@@ -46,6 +44,35 @@ PR2_FULL_BATCH_SECONDS_PER_ITERATION = 80.174 / 40.0
 #: Single-row PredictionService latency of the PR-2 code, measured on the
 #: same container with the protocol of the serving section below.
 PR2_SERVICE_SINGLE_ROW_SECONDS = 225.5e-6
+
+#: Smoke measurements gated against the committed record's
+#: ``smoke_reference``.
+PERF_GATES = (
+    PerfGate(
+        "training step s/iter",
+        lambda record: record["training_step"]["seconds_per_iteration"],
+        "training_step_seconds_per_iteration",
+    ),
+    PerfGate(
+        "service single-row s",
+        lambda record: record["serving"]["service_single_row_seconds"],
+        "service_single_row_seconds",
+    ),
+    # Graph-node counts are deterministic and hardware-independent, so this
+    # exact gate catches a de-fused regularizer graph even when CI-runner
+    # timing noise would mask the slowdown: any extra node fails.
+    PerfGate(
+        "decorrelation graph nodes",
+        lambda record: record["per_op"]["pairwise_decorrelation_loss"]["fused"]["graph_nodes"],
+        "decorrelation_fused_graph_nodes",
+        limit=1.0,
+    ),
+)
+
+
+def gate_failures(result: Dict[str, object]) -> List[str]:
+    """Hard gates of the autodiff record: none beyond :data:`PERF_GATES`."""
+    return []
 
 
 # --------------------------------------------------------------------------- #
@@ -459,7 +486,6 @@ def benchmark_autodiff(
     num_samples: Optional[int] = None,
     iterations: Optional[int] = None,
     seed: int = 2024,
-    include_smoke_reference: bool = True,
 ) -> Dict[str, object]:
     """Run all four sections and return one JSON-serialisable record.
 
@@ -483,11 +509,7 @@ def benchmark_autodiff(
     result: Dict[str, object] = {
         "benchmark": "autodiff-hot-path",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "per_op": _per_op_section(per_op_samples, per_op_repeats, seed),
         "training_step": step,
         "graph_replay": _graph_replay_section(step_samples, seed, smoke),
@@ -506,22 +528,9 @@ def benchmark_autodiff(
         result["training_step"]["speedup_vs_pr2"] = float(
             PR2_FULL_BATCH_SECONDS_PER_ITERATION / step["seconds_per_iteration"]
         )
-    if include_smoke_reference and not smoke:
-        reference = benchmark_autodiff(
-            smoke=True, seed=seed, include_smoke_reference=False
+        result["smoke_reference"] = smoke_reference(
+            PERF_GATES, benchmark_autodiff(smoke=True, seed=seed)
         )
-        result["smoke_reference"] = {
-            "training_step_seconds_per_iteration": reference["training_step"][
-                "seconds_per_iteration"
-            ],
-            "service_single_row_seconds": reference["serving"]["service_single_row_seconds"],
-            # Graph-node counts are deterministic and hardware-independent,
-            # so this gate entry catches a de-fused regularizer graph even
-            # when CI-runner timing noise would mask the slowdown.
-            "decorrelation_fused_graph_nodes": reference["per_op"][
-                "pairwise_decorrelation_loss"
-            ]["fused"]["graph_nodes"],
-        }
     return result
 
 
@@ -619,11 +628,3 @@ def format_autodiff_benchmark(result: Dict[str, object]) -> str:
         title="Training precision (TrainingConfig.dtype)",
     )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

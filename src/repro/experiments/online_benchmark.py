@@ -15,17 +15,17 @@ end and produces the committed ``BENCH_online.json``:
 * **gates** — the acceptance criteria evaluated on the record: the monitor
   fires within one window of the injected shift, warm refit recovers
   >= 80% of the degradation at < 25% of cold wall-clock, and the swap
-  phase serves zero failed requests.  ``benchmarks/bench_online.py`` (and
-  ``repro online-bench``) fail when a gate fails, so CI pins the contract.
+  phase serves zero failed requests.
+
+``repro online-bench`` writes ``BENCH_online.json`` and fails when a hard
+gate (:func:`gate_failures`) fails; CI runs it with ``--smoke
+--check-against BENCH_online.json``, which also applies :data:`PERF_GATES`.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
-import os
-import platform
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -33,12 +33,14 @@ from ..core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from ..core.estimator import HTEEstimator
 from ..serve import DriftMonitor, DriftSchedule, OnlineServingLoop, ServingFrontend
 from ..serve.online import DriftStream, concat_datasets, drift_stream, pehe_against_truth
+from .perf_gate import PerfGate, machine_block, smoke_reference
 from .reporting import format_table
 
 __all__ = [
     "benchmark_online",
     "format_online_benchmark",
-    "write_benchmark",
+    "gate_failures",
+    "PERF_GATES",
     "RECOVERY_FLOOR",
     "LATENCY_RATIO_CEILING",
 ]
@@ -51,8 +53,7 @@ LATENCY_RATIO_CEILING = 0.25
 
 #: (num_samples, train_iterations, num_steps, batch_rows, period,
 #:  window_size, min_window, refit_epochs, epochs_grid) — one source of
-#: truth per mode, shared by the --smoke defaults and the smoke_reference
-#: block the CI perf gate reads.
+#: truth per mode.
 SMOKE_DEFAULTS = (600, 150, 16, 128, 8, 256, 64, 20, (5, 10, 20, 40))
 FULL_DEFAULTS = (1200, 300, 24, 192, 12, 384, 96, 40, (10, 20, 40, 80, 150))
 
@@ -60,6 +61,47 @@ FULL_DEFAULTS = (1200, 300, 24, 192, 12, 384, 96, 40, (10, 20, 40, 80, 150))
 #: null distribution of the domain AUC at the smoke window size (~0.57
 #: +- 0.02 without drift, >= 0.75 with the unstable-covariate shift).
 DEFAULT_AUC_THRESHOLD = 0.70
+
+
+def _warm_refit_seconds(record: Dict[str, object]) -> float:
+    """Warm-refit wall-clock at the record's chosen epoch budget."""
+    return next(
+        entry["warm_seconds"]
+        for entry in record["tradeoff"]["curve"]
+        if entry["epochs"] == record["config"]["refit_epochs"]
+    )
+
+
+#: Smoke timings gated against the committed record's ``smoke_reference``.
+PERF_GATES = (
+    PerfGate("warm refit seconds", _warm_refit_seconds, "warm_refit_seconds"),
+    PerfGate(
+        "cold refit seconds",
+        lambda record: record["tradeoff"]["cold_seconds"],
+        "cold_refit_seconds",
+    ),
+)
+
+
+def gate_failures(result: Dict[str, object]) -> List[str]:
+    """Hard gates that hold in every mode: the four ``gates`` entries."""
+    failures = []
+    gates = result["gates"]
+    if not gates["drift_detected_within_window"]:
+        failures.append("drift monitor did not fire within one window of the shift")
+    if not gates["warm_recovery"]["passed"]:
+        failures.append(
+            f"warm refit recovered {gates['warm_recovery']['measured']:.2f} "
+            f"of the PEHE degradation (floor {gates['warm_recovery']['floor']})"
+        )
+    if not gates["warm_latency_ratio"]["passed"]:
+        failures.append(
+            f"warm refit took {gates['warm_latency_ratio']['measured']:.2f}x "
+            f"cold wall-clock (ceiling {gates['warm_latency_ratio']['ceiling']})"
+        )
+    if not gates["zero_failed_requests"]:
+        failures.append("request(s) failed during the online loop / swap phase")
+    return failures
 
 
 def _online_config(iterations: int, seed: int) -> SBRLConfig:
@@ -317,11 +359,7 @@ def benchmark_online(
     result: Dict[str, object] = {
         "benchmark": "online-serving",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "config": {
             "num_samples": num_samples,
             "train_iterations": train_iterations,
@@ -343,22 +381,9 @@ def benchmark_online(
     if not smoke:
         # Smoke-sized timings measured on the same machine as the full run:
         # the CI perf gate compares its own --smoke numbers against these.
-        smoke_abrupt = drift_stream(
-            DriftSchedule(
-                kind="abrupt", num_steps=SMOKE_DEFAULTS[2], shift_step=SMOKE_DEFAULTS[4] // 2
-            ),
-            num_samples=SMOKE_DEFAULTS[0],
-            batch_rows=SMOKE_DEFAULTS[3],
-            seed=seed,
+        result["smoke_reference"] = smoke_reference(
+            PERF_GATES, benchmark_online(smoke=True, seed=seed)
         )
-        smoke_estimator = _train_initial(smoke_abrupt, SMOKE_DEFAULTS[1], seed)
-        smoke_tradeoff = _tradeoff_phase(
-            smoke_estimator, smoke_abrupt, (SMOKE_DEFAULTS[7],)
-        )
-        result["smoke_reference"] = {
-            "cold_refit_seconds": smoke_tradeoff["cold_seconds"],
-            "warm_refit_seconds": smoke_tradeoff["curve"][0]["warm_seconds"],
-        }
     return result
 
 
@@ -424,11 +449,3 @@ def format_online_benchmark(result: Dict[str, object]) -> str:
         title=f"Acceptance gates ({'PASS' if gates['all_passed'] else 'FAIL'})",
     )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

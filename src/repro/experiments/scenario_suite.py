@@ -27,21 +27,20 @@ evaluate / aggregate wall-clock) and a ``cache`` block (hits, misses,
 seconds saved, failed cache writes); :func:`format_suite_summary`
 renders both as the one-line summary ``repro scenarios`` prints.
 
-``benchmarks/bench_scenarios.py`` wraps this module as the CI smoke job
-(including the ``n_jobs=1 == n_jobs=2`` parity gate); ``repro scenarios``
-exposes it from the CLI; the committed ``BENCH_scenarios.json`` is a
-full-severity run.
+``repro scenarios`` exposes it from the CLI and runs the CI smoke jobs:
+the ``n_jobs=1 == n_jobs=2`` parity gate (``--check-against``) and the
+result-cache gate (``--cache-selftest``, :func:`cache_selftest`).  The
+committed ``BENCH_scenarios.json`` is a full-severity run.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import platform
 import sys
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +48,7 @@ import numpy as np
 from ..registry import scenarios as SCENARIO_REGISTRY
 from ..scenarios import DEFAULT_SEVERITIES, Scenario, available_scenarios, build_scenario
 from .cache import ResultCache
+from .perf_gate import machine_block
 from .protocols import experiment_config, get_scale
 from .reporting import format_table
 from .runner import MethodSpec, MethodResult
@@ -71,7 +71,7 @@ __all__ = [
     "degradation_slope",
     "format_scenario_suite",
     "format_suite_summary",
-    "write_scenario_suite",
+    "cache_selftest",
     "scenario_cell_metrics",
     "compare_scenario_records",
     "count_error_cells",
@@ -140,14 +140,12 @@ class ScenarioSuiteConfig:
         cache_dir: Optional[str] = None,
         shard=None,
     ) -> "ScenarioSuiteConfig":
-        """The shared CLI / benchmark-script configuration policy.
+        """The configuration policy of ``repro scenarios``.
 
         ``smoke`` shrinks the defaults of every *unset* knob to a
         seconds-scale run (250 samples, severities {0, 1}, smoke-scale
         training); explicitly passed values always win.  ``shard`` accepts
-        a ``"K/N"`` string or a ``(K, N)`` pair.  Both ``repro scenarios``
-        and ``benchmarks/bench_scenarios.py`` resolve their arguments
-        here, so the two entry points can never drift apart.
+        a ``"K/N"`` string or a ``(K, N)`` pair.
         """
         if smoke:
             num_samples = num_samples if num_samples is not None else 250
@@ -414,14 +412,6 @@ def _scenario_records(
     return scenario_records
 
 
-def _machine_block() -> Dict[str, object]:
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-
-
 def _cache_block(
     config: ScenarioSuiteConfig, outcomes: Mapping[str, UnitOutcome]
 ) -> Dict[str, object]:
@@ -576,7 +566,7 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
 
     return {
         "benchmark": "scenario-matrix",
-        "machine": _machine_block(),
+        "machine": machine_block(),
         "suite": {
             "num_samples": config.num_samples,
             "replications": config.replications,
@@ -706,7 +696,7 @@ def merge_scenario_shards(
     aggregate_seconds = time.perf_counter() - start
     return {
         "benchmark": "scenario-matrix",
-        "machine": _machine_block(),
+        "machine": machine_block(),
         "suite": {
             "num_samples": grid["num_samples"],
             "replications": replications,
@@ -727,6 +717,94 @@ def merge_scenario_shards(
         "stages": {"aggregate_seconds": aggregate_seconds},
         "scenarios": scenario_records,
     }
+
+
+def _timed_run(config: ScenarioSuiteConfig) -> Tuple[Dict[str, object], float]:
+    start = time.perf_counter()
+    result = run_scenario_suite(config)
+    return result, time.perf_counter() - start
+
+
+def cache_selftest(config: ScenarioSuiteConfig) -> Dict[str, object]:
+    """CI cache gate: cold run, 100%-hit warm run, shard-merge parity.
+
+    Runs the grid cold against a result cache (``config.cache_dir``, or a
+    fresh temporary directory), re-runs it warm (every unit must be a cache
+    hit and the run must be at least 5x faster), then runs the same grid as
+    two shards against the same cache and verifies the
+    :func:`merge_scenario_shards` union is bit-identical to the unsharded
+    run.  Progress goes to stdout and failures to stderr.  Returns the cold
+    record with a ``cache_smoke`` block whose ``passed`` field is the
+    verdict.
+    """
+    workdir = None
+    cache_dir = config.cache_dir
+    if cache_dir is None:
+        workdir = tempfile.mkdtemp(prefix="scenario-cache-smoke-")
+        cache_dir = os.path.join(workdir, "cache")
+    shard_dir = workdir if workdir is not None else os.path.dirname(
+        os.path.abspath(cache_dir)
+    )
+
+    base = replace(config, cache_dir=cache_dir, shard=None, checkpoint=None)
+    print(f"cache selftest: cold run against {cache_dir}...")
+    cold, cold_seconds = _timed_run(base)
+    print(format_suite_summary(cold))
+    print(f"cold run: {cold_seconds:.2f}s; warm re-run...")
+    warm, warm_seconds = _timed_run(base)
+    print(format_suite_summary(warm))
+    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
+    print(f"warm run: {warm_seconds:.2f}s ({speedup:.1f}x vs cold)")
+
+    failures = 0
+    warm_cache = warm["cache"]
+    if warm_cache["misses"] != 0 or warm_cache["hits"] == 0:
+        print(
+            f"FAIL: warm run was not served entirely from cache "
+            f"({warm_cache['hits']} hits, {warm_cache['misses']} misses)",
+            file=sys.stderr,
+        )
+        failures += 1
+    if speedup < 5.0:
+        print(
+            f"FAIL: warm run only {speedup:.1f}x faster than cold (need >= 5x)",
+            file=sys.stderr,
+        )
+        failures += 1
+    differences = compare_scenario_records(cold, warm)
+    if differences:
+        print("FAIL: warm cells differ from cold cells:", file=sys.stderr)
+        for difference in differences:
+            print(f"  {difference}", file=sys.stderr)
+        failures += 1
+
+    print("running the grid as two shards against the same cache...")
+    checkpoints = []
+    for index in (1, 2):
+        checkpoint = os.path.join(shard_dir, f"cache-smoke-shard{index}.jsonl")
+        if os.path.exists(checkpoint):
+            os.unlink(checkpoint)
+        checkpoints.append(checkpoint)
+        run_scenario_suite(replace(base, shard=(index, 2), checkpoint=checkpoint))
+    merged = merge_scenario_shards(checkpoints)
+    differences = compare_scenario_records(cold, merged)
+    if differences:
+        print("FAIL: merged shards differ from the unsharded run:", file=sys.stderr)
+        for difference in differences:
+            print(f"  {difference}", file=sys.stderr)
+        failures += 1
+    else:
+        print("merged shard record identical to the unsharded run")
+
+    cold["cache_smoke"] = {
+        "cold_seconds": cold_seconds,
+        "warm_seconds": warm_seconds,
+        "speedup": speedup,
+        "warm_cache": warm_cache,
+        "shard_merge_identical": not differences,
+        "passed": failures == 0,
+    }
+    return cold
 
 
 def format_scenario_suite(result: Mapping[str, object]) -> str:
@@ -820,14 +898,6 @@ def format_suite_summary(result: Mapping[str, object]) -> str:
     return "\n".join(lines)
 
 
-def write_scenario_suite(result: Mapping[str, object], path: str) -> str:
-    """Write the suite record as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    return path
-
-
 def count_error_cells(record: Mapping[str, object]) -> Tuple[int, int]:
     """``(error_cells, total_cells)`` of a suite record.
 
@@ -895,7 +965,7 @@ def compare_scenario_records(
     Compares every (scenario, severity, method) cell field-by-field —
     excluding measured wall-clock — plus the degradation summaries, and
     returns human-readable difference descriptions.  Used by the pytest
-    parity regressions and by ``bench_scenarios.py --check-against`` (the
+    parity regressions and by ``repro scenarios --check-against`` (the
     CI ``n_jobs=1 == n_jobs=2`` gate).
     """
     differences: List[str] = []

@@ -14,17 +14,15 @@ multi-threaded load generator and records:
   downtime contract requires exactly zero) and timing the swap window
   (deploy call until the old version drained its last in-flight batch).
 
-``benchmarks/bench_serving.py`` wraps this module as a CI script writing
-``BENCH_serving.json`` (with a ``--check-against`` perf gate mirroring the
-training/autodiff ones); ``repro serve-bench --sustained`` exposes it from
-the CLI.
+``repro serve-bench --sustained`` runs this module and writes
+``BENCH_serving.json``; CI runs it with ``--smoke --check-against
+BENCH_serving.json``.  The record's perf gates (:data:`PERF_GATES`) and
+hard gates (:func:`gate_failures`) are declared here once.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import tempfile
 import threading
 import time
@@ -36,19 +34,47 @@ from ..core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from ..core.estimator import HTEEstimator
 from ..data.synthetic import SyntheticConfig, SyntheticGenerator
 from ..serve import ServingFrontend
+from .perf_gate import PerfGate, machine_block, smoke_reference
 from .reporting import format_table
 
-__all__ = ["benchmark_serving", "format_serving_benchmark", "write_benchmark"]
+__all__ = ["benchmark_serving", "format_serving_benchmark", "gate_failures", "PERF_GATES"]
 
 #: (num_samples, train_iterations, concurrency, requests_per_thread,
 #:  sweep_concurrencies, sweep_requests_per_thread, swap_requests_per_thread,
-#:  num_workers) — one source of truth per mode, shared by the --smoke
-#: defaults and the smoke_reference block the CI gate reads.
+#:  num_workers) — one source of truth per mode.
 SMOKE_DEFAULTS = (300, 30, 8, 60, (1, 4, 8), 30, 60, 2)
 FULL_DEFAULTS = (800, 80, 16, 400, (1, 2, 4, 8, 16), 120, 300, 2)
 
 #: Batching deadline used by every coalesced phase (milliseconds).
 DEFAULT_MAX_WAIT_MS = 2.0
+
+#: Smoke timings gated against the committed record's ``smoke_reference``.
+PERF_GATES = (
+    PerfGate(
+        "direct seconds/1k requests",
+        lambda record: record["sustained"]["direct"]["seconds_per_1k_requests"],
+        "direct_seconds_per_1k_requests",
+    ),
+    PerfGate(
+        "coalesced seconds/1k requests",
+        lambda record: record["sustained"]["coalesced"]["seconds_per_1k_requests"],
+        "coalesced_seconds_per_1k_requests",
+    ),
+)
+
+
+def gate_failures(result: Dict[str, object]) -> List[str]:
+    """Hard gates that hold in every mode (smoke and full)."""
+    failures = []
+    if not result["coalesced_matches_direct"]:
+        failures.append("coalesced frontend answers diverge from direct predictions")
+    swap = result["hot_swap"]
+    total_failed = swap["failed_requests"] + swap["frontend_failed_requests"]
+    if total_failed:
+        failures.append(f"{total_failed} request(s) failed during the hot-swap phase")
+    if not (swap["old_version_drained"] and swap["new_version_drained"]):
+        failures.append("a superseded version did not drain its in-flight batches")
+    return failures
 
 
 def _serving_config(iterations: int, seed: int) -> SBRLConfig:
@@ -421,11 +447,7 @@ def benchmark_serving(
     result: Dict[str, object] = {
         "benchmark": "serving-frontend",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "model": {
             "backbone": "cfr",
             "framework": "vanilla",
@@ -447,24 +469,9 @@ def benchmark_serving(
     if not smoke:
         # Smoke-sized timings measured on the same machine as the full run:
         # the CI perf gate compares its own --smoke numbers against these.
-        smoke_sustained = _sustained_phase(
-            estimator_v1,
-            rows,
-            SMOKE_DEFAULTS[2],
-            SMOKE_DEFAULTS[3],
-            SMOKE_DEFAULTS[7],
-            max_wait_ms,
-            "closed",
-            burst,
+        result["smoke_reference"] = smoke_reference(
+            PERF_GATES, benchmark_serving(smoke=True, seed=seed)
         )
-        result["smoke_reference"] = {
-            "direct_seconds_per_1k_requests": smoke_sustained["direct"][
-                "seconds_per_1k_requests"
-            ],
-            "coalesced_seconds_per_1k_requests": smoke_sustained["coalesced"][
-                "seconds_per_1k_requests"
-            ],
-        }
     return result
 
 
@@ -520,11 +527,3 @@ def format_serving_benchmark(result: Dict[str, object]) -> str:
         title="Hot swap under load",
     )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

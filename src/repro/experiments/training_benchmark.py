@@ -14,17 +14,15 @@ synthetic benchmark:
   :func:`repro.experiments.run_methods` serially and with ``n_jobs``
   worker processes, checking the results are identical.
 
-``benchmarks/bench_training.py`` wraps this module as a script that writes
-``BENCH_training.json`` (run in CI with ``--smoke``); ``repro train-bench``
-exposes it from the CLI.
+``repro train-bench`` runs this module and writes ``BENCH_training.json``;
+CI runs it with ``--smoke --check-against BENCH_training.json``.  The
+record's perf gates (:data:`PERF_GATES`) and hard gates
+(:func:`gate_failures`) are declared here once.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
-import platform
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -32,16 +30,16 @@ from ..core.config import BackboneConfig, RegularizerConfig, SBRLConfig, Trainin
 from ..core.estimator import HTEEstimator
 from ..core.loop import Callback
 from ..data.synthetic import SyntheticConfig, SyntheticGenerator
+from .perf_gate import PerfGate, machine_block, smoke_reference
 from .protocols import experiment_config, get_scale
 from .reporting import format_table
 from .runner import MethodSpec, default_method_grid, run_methods, run_replications
 
-__all__ = ["benchmark_training", "format_benchmark", "write_benchmark"]
+__all__ = ["benchmark_training", "format_benchmark", "gate_failures", "PERF_GATES"]
 
 #: (num_samples, batch_size, full_batch_epochs, minibatch_epochs,
 #:  grid_num_samples, n_jobs, optimizer_num_samples, optimizer_iterations)
-#: — one source of truth for each mode, shared by the --smoke defaults and
-#: the smoke_reference block the CI gate reads.
+#: — one source of truth for each mode.
 SMOKE_DEFAULTS = (600, 128, 4, 2, 300, 2, 300, 60)
 FULL_DEFAULTS = (4000, 256, 40, 20, 800, 4, 1200, 400)
 
@@ -55,6 +53,36 @@ OPTIMIZER_COMBOS: Tuple[Tuple[str, str, float, Dict[str, object], int], ...] = (
     ("rmsprop", "exponential", 2e-3, {}, 0),
     ("sgd", "cosine", 5e-2, {"momentum": 0.9}, 10),
 )
+
+#: Smoke timings gated against the committed record's ``smoke_reference``.
+PERF_GATES = (
+    PerfGate(
+        "full-batch seconds",
+        lambda record: record["minibatch"]["full_batch"]["seconds"],
+        "full_batch_seconds",
+    ),
+    PerfGate(
+        "minibatch seconds",
+        lambda record: record["minibatch"]["minibatch"]["seconds"],
+        "minibatch_seconds",
+    ),
+    PerfGate(
+        "optimizer comparison seconds",
+        lambda record: record["optimizer_comparison"]["seconds"],
+        "optimizer_comparison_seconds",
+    ),
+)
+
+
+def gate_failures(result: Dict[str, object]) -> List[str]:
+    """Hard gates that hold in every mode: parallel and stacked execution
+    must reproduce the serial results exactly."""
+    failures = []
+    if not result["parallel_grid"]["identical_results"]:
+        failures.append("parallel grid results differ from the serial grid")
+    if not result["stacked_replications"]["identical_results"]:
+        failures.append("stacked replications differ from serial fits")
+    return failures
 
 
 def _engine_config(
@@ -394,11 +422,7 @@ def benchmark_training(
     result = {
         "benchmark": "training-engine",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "dataset": {
             "name": "syn_8_8_8_2",
             "num_samples": num_samples,
@@ -422,36 +446,9 @@ def benchmark_training(
     if not smoke:
         # Smoke-sized timings measured on the same machine as the full run:
         # the CI perf gate compares its own --smoke numbers against these.
-        # Sizes come from SMOKE_DEFAULTS so the gate always compares
-        # identically-sized workloads.
-        smoke_samples, smoke_batch, smoke_full_epochs, smoke_mini_epochs = SMOKE_DEFAULTS[:4]
-        smoke_protocol = generator.generate_train_test_protocol(
-            num_samples=smoke_samples, train_rho=2.5, test_rhos=(2.5,), seed=seed
+        result["smoke_reference"] = smoke_reference(
+            PERF_GATES, benchmark_training(smoke=True, seed=seed)
         )
-        smoke_batches = -(-smoke_samples // smoke_batch)
-        smoke_full = _fit_and_time(
-            _engine_config(smoke_full_epochs, None, None, num_anchors, seed),
-            smoke_protocol["train"],
-            smoke_protocol["test_environments"],
-            seed,
-        )
-        smoke_mini = _fit_and_time(
-            _engine_config(
-                smoke_mini_epochs * smoke_batches, smoke_batch, 4 * smoke_batch, num_anchors, seed
-            ),
-            smoke_protocol["train"],
-            smoke_protocol["test_environments"],
-            seed,
-        )
-        smoke_opt_samples, smoke_opt_iterations = SMOKE_DEFAULTS[6:8]
-        smoke_optimizer = _optimizer_section(
-            num_samples=smoke_opt_samples, iterations=smoke_opt_iterations, seed=seed
-        )
-        result["smoke_reference"] = {
-            "full_batch_seconds": smoke_full["seconds"],
-            "minibatch_seconds": smoke_mini["seconds"],
-            "optimizer_comparison_seconds": smoke_optimizer["seconds"],
-        }
     return result
 
 
@@ -536,11 +533,3 @@ def format_benchmark(result: Dict[str, object]) -> str:
             ),
         )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

@@ -11,9 +11,9 @@ The fused kernels (:func:`linear`, :func:`pairwise_sq_dists`,
 :func:`bilinear_weighted_sum`) record a *single* graph node with a
 closed-form vector-Jacobian product instead of composing dozens of broadcast
 primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
-regularizer graphs by an order of magnitude (see
-``benchmarks/bench_autodiff.py``) while computing bit-identical forward
-values, so the golden-regression suite pins them to the unfused history.
+regularizer graphs by an order of magnitude (see ``repro bench-autodiff``)
+while computing bit-identical forward values, so the golden-regression
+suite pins them to the unfused history.
 """
 
 from __future__ import annotations

@@ -138,7 +138,7 @@ class dtype_scope:
 
 
 # --------------------------------------------------------------------------- #
-# Instrumentation (used by benchmarks/bench_autodiff.py)
+# Instrumentation (used by ``repro bench-autodiff``)
 # --------------------------------------------------------------------------- #
 class _AllocStats:
     """Process-wide counter of Tensor constructions (one per recorded op)."""

@@ -15,15 +15,13 @@ import pytest
 from repro.experiments.autodiff_benchmark import (
     benchmark_autodiff,
     format_autodiff_benchmark,
-    write_benchmark,
 )
+from repro.experiments.perf_gate import write_record
 
 
 @pytest.fixture(scope="module")
 def smoke_result():
-    return benchmark_autodiff(
-        smoke=True, num_samples=200, iterations=2, seed=0, include_smoke_reference=False
-    )
+    return benchmark_autodiff(smoke=True, num_samples=200, iterations=2, seed=0)
 
 
 def test_record_schema(smoke_result):
@@ -89,7 +87,7 @@ def test_format_and_write_roundtrip(smoke_result, tmp_path):
     text = format_autodiff_benchmark(smoke_result)
     assert "Fused kernels" in text
     assert "Compiled inference" in text
-    path = write_benchmark(smoke_result, str(tmp_path / "bench.json"))
+    path = write_record(smoke_result, str(tmp_path / "bench.json"))
     with open(path, "r", encoding="utf-8") as handle:
         assert json.load(handle)["benchmark"] == "autodiff-hot-path"
 

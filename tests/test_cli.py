@@ -163,6 +163,35 @@ class TestCommands:
         assert "stages:" in out
         assert warm["scenarios"] == cold["scenarios"]
 
+    def test_scenarios_check_against(self, capsys, tmp_path):
+        import json
+
+        reference = str(tmp_path / "reference.json")
+        base = ["scenarios", "--smoke", "--scenario", "overlap", "--num-samples", "120"]
+        assert main(base + ["--output", reference]) == 0
+        assert main(base + ["--n-jobs", "2", "--check-against", reference]) == 0
+        assert f"cell metrics identical to {reference}" in capsys.readouterr().out
+        record = json.loads(open(reference).read())
+        record["scenarios"]["overlap"]["cells"][0]["pehe_mean"] += 1.0
+        open(reference, "w").write(json.dumps(record))
+        assert main(base + ["--check-against", reference]) == 1
+        err = capsys.readouterr().err
+        assert "cell metrics diverged" in err and "pehe_mean differs" in err
+
+    def test_scenarios_cache_selftest(self, capsys, tmp_path):
+        import json
+
+        output = str(tmp_path / "cache_smoke.json")
+        assert main([
+            "scenarios", "--smoke", "--scenario", "overlap", "--num-samples", "120",
+            "--cache-dir", str(tmp_path / "cache"), "--cache-selftest", "--output", output,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "merged shard record identical to the unsharded run" in out
+        smoke = json.loads(open(output).read())["cache_smoke"]
+        assert smoke["passed"] and smoke["shard_merge_identical"]
+        assert smoke["warm_cache"]["misses"] == 0 and smoke["warm_cache"]["hits"] == 4
+
     def test_scenarios_merge_roundtrip(self, capsys, tmp_path):
         import json
 
@@ -230,7 +259,59 @@ class TestCommands:
         record = json.loads(open(output).read())
         assert record["mode"] == "smoke"
         assert record["parallel_grid"]["identical_results"] is True
+        assert record["stacked_replications"]["identical_results"] is True
         assert record["minibatch"]["full_batch"]["seconds"] > 0
+
+    def test_serve_bench_sustained_fails_when_old_version_never_drained(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments import serving_benchmark
+
+        record = {
+            "mode": "smoke",
+            "coalesced_matches_direct": True,
+            "hot_swap": {
+                "failed_requests": 0,
+                "frontend_failed_requests": 0,
+                "old_version_drained": False,
+                "new_version_drained": True,
+            },
+        }
+        monkeypatch.setattr(serving_benchmark, "benchmark_serving", lambda **_: record)
+        monkeypatch.setattr(serving_benchmark, "format_serving_benchmark", lambda _: "canned")
+        assert main(["serve-bench", "--sustained", "--smoke"]) == 1
+        assert "did not drain" in capsys.readouterr().out
+
+    def test_train_bench_check_against_applies_gates(self, capsys, monkeypatch, tmp_path):
+        import json
+
+        from repro.experiments import training_benchmark
+
+        record = {
+            "mode": "smoke",
+            "minibatch": {"full_batch": {"seconds": 1.0}, "minibatch": {"seconds": 1.0}},
+            "optimizer_comparison": {"seconds": 1.0},
+            "parallel_grid": {"identical_results": True},
+            "stacked_replications": {"identical_results": True},
+        }
+        baseline = tmp_path / "BENCH_training.json"
+        baseline.write_text(json.dumps({"smoke_reference": {
+            "full_batch_seconds": 0.8,
+            "minibatch_seconds": 0.8,
+            "optimizer_comparison_seconds": 0.4,
+        }}))
+        monkeypatch.setattr(training_benchmark, "benchmark_training", lambda **_: record)
+        monkeypatch.setattr(training_benchmark, "format_benchmark", lambda _: "canned")
+        argv = ["train-bench", "--smoke", "--check-against", str(baseline)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "perf gate: full-batch seconds" in out
+        assert "optimizer comparison seconds: 1.000000 vs baseline 0.400000" in out
+        record["optimizer_comparison"]["seconds"] = 0.5
+        assert main(argv) == 0
+        record["stacked_replications"]["identical_results"] = False
+        assert main(argv) == 1
+        assert "FAIL: stacked replications differ" in capsys.readouterr().out
 
     @pytest.mark.slow
     def test_save_predict_serve_bench_pipeline(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -11,8 +12,9 @@ from repro.experiments.online_benchmark import (
     RECOVERY_FLOOR,
     benchmark_online,
     format_online_benchmark,
-    write_benchmark,
+    gate_failures,
 )
+from repro.experiments.perf_gate import write_record
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +23,7 @@ def record():
 
     Sizes are far below the smoke defaults so the gates are *not* expected
     to pass here — these tests pin the record's shape, not its quality.
-    The real gates run in CI via ``benchmarks/bench_online.py --smoke``.
+    The real gates run in CI via ``repro online-bench --smoke``.
     """
     return benchmark_online(
         smoke=True,
@@ -86,8 +88,23 @@ class TestRecordSchema:
             and gates["zero_failed_requests"]
         )
 
+    def test_gate_failures_name_each_failed_gate(self, record):
+        gates = copy.deepcopy(record["gates"])
+        gates["drift_detected_within_window"] = True
+        gates["warm_recovery"].update(measured=0.5, passed=False)
+        gates["warm_latency_ratio"].update(measured=0.4, passed=False)
+        gates["zero_failed_requests"] = False
+        assert gate_failures({"gates": gates}) == [
+            f"warm refit recovered 0.50 of the PEHE degradation (floor {RECOVERY_FLOOR})",
+            f"warm refit took 0.40x cold wall-clock (ceiling {LATENCY_RATIO_CEILING})",
+            "request(s) failed during the online loop / swap phase",
+        ]
+        gates["warm_recovery"]["passed"] = gates["warm_latency_ratio"]["passed"] = True
+        gates["zero_failed_requests"] = True
+        assert gate_failures({"gates": gates}) == []
+
     def test_json_round_trip(self, record, tmp_path):
-        path = write_benchmark(record, str(tmp_path / "BENCH_online.json"))
+        path = write_record(record, str(tmp_path / "BENCH_online.json"))
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded["gates"].keys() == record["gates"].keys()

@@ -13,8 +13,8 @@ from repro.experiments.scenario_suite import (
     degradation_slope,
     format_scenario_suite,
     run_scenario_suite,
-    write_scenario_suite,
 )
+from repro.experiments.perf_gate import write_record
 from repro.registry import UnknownComponentError
 
 
@@ -121,7 +121,7 @@ class TestRunScenarioSuite:
 
     def test_json_serialisable_and_writable(self, tiny_suite_result, tmp_path):
         json.dumps(tiny_suite_result)  # must not raise
-        path = write_scenario_suite(tiny_suite_result, str(tmp_path / "bench.json"))
+        path = write_record(tiny_suite_result, str(tmp_path / "bench.json"))
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle)["benchmark"] == "scenario-matrix"
 
@@ -190,8 +190,7 @@ class TestRunScenarioSuite:
 
 
 class TestFromOptions:
-    """`from_options` is the single smoke-policy shared by the CLI verb and
-    benchmarks/bench_scenarios.py — pin it so the entry points can't drift."""
+    """`from_options` is the smoke policy of `repro scenarios` — pin it."""
 
     def test_smoke_defaults(self):
         config = ScenarioSuiteConfig.from_options(smoke=True)

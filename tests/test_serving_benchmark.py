@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
-from repro.experiments.perf_gate import check_perf_regression
+from repro.experiments.perf_gate import check_perf_regression, write_record
 from repro.experiments.serving_benchmark import (
+    PERF_GATES,
     benchmark_serving,
     format_serving_benchmark,
-    write_benchmark,
+    gate_failures,
 )
 
 
@@ -71,11 +73,21 @@ class TestBenchmarkRecord:
         assert len(fingerprints) == 2 and all(fingerprints)
         assert fingerprints[0] != fingerprints[1]
 
+    def test_hard_gates(self, record):
+        assert gate_failures(record) == []
+        broken = copy.deepcopy(record)
+        broken["hot_swap"]["old_version_drained"] = False
+        broken["hot_swap"]["failed_requests"] = 2
+        assert gate_failures(broken) == [
+            "2 request(s) failed during the hot-swap phase",
+            "a superseded version did not drain its in-flight batches",
+        ]
+
     def test_format_and_write(self, record, tmp_path):
         text = format_serving_benchmark(record)
         assert "coalescing speedup" in text
         assert "Hot swap under load" in text
-        path = write_benchmark(record, str(tmp_path / "BENCH_serving.json"))
+        path = write_record(record, str(tmp_path / "BENCH_serving.json"))
         with open(path, "r", encoding="utf-8") as handle:
             assert json.load(handle)["benchmark"] == "serving-frontend"
 
@@ -85,19 +97,6 @@ class TestBenchmarkRecord:
 
 
 class TestPerfGateWiring:
-    CHECKS = (
-        (
-            "direct seconds/1k requests",
-            lambda record: record["sustained"]["direct"]["seconds_per_1k_requests"],
-            "direct_seconds_per_1k_requests",
-        ),
-        (
-            "coalesced seconds/1k requests",
-            lambda record: record["sustained"]["coalesced"]["seconds_per_1k_requests"],
-            "coalesced_seconds_per_1k_requests",
-        ),
-    )
-
     @staticmethod
     def _smoke_record(direct: float, coalesced: float) -> dict:
         return {
@@ -126,15 +125,15 @@ class TestPerfGateWiring:
     def test_within_budget_passes(self, tmp_path):
         baseline = self._baseline(tmp_path, direct=0.1, coalesced=0.05)
         result = self._smoke_record(direct=0.15, coalesced=0.06)
-        assert check_perf_regression(result, baseline, self.CHECKS) == 0
+        assert check_perf_regression(result, baseline, PERF_GATES) == 0
 
     def test_regression_fails(self, tmp_path):
         baseline = self._baseline(tmp_path, direct=0.1, coalesced=0.05)
         result = self._smoke_record(direct=0.5, coalesced=0.06)
-        assert check_perf_regression(result, baseline, self.CHECKS) == 1
+        assert check_perf_regression(result, baseline, PERF_GATES) == 1
 
     def test_full_mode_records_are_not_gated(self, tmp_path):
         baseline = self._baseline(tmp_path, direct=0.1, coalesced=0.05)
         result = self._smoke_record(direct=9.9, coalesced=9.9)
         result["mode"] = "full"
-        assert check_perf_regression(result, baseline, self.CHECKS) == 0
+        assert check_perf_regression(result, baseline, PERF_GATES) == 0
