@@ -127,8 +127,8 @@ class TrainingConfig:
     #: step's forward/backward as a replayable kernel program on first
     #: execution and replays it — bit-identically — on subsequent steps,
     #: re-recording whenever the batch identity, shapes, dtype or config
-    #: change and falling back to eager (with a one-time warning) for ops
-    #: without a replay kernel.  ``"off"`` always executes eagerly.
+    #: change and falling back to eager (with a one-time warning) when an
+    #: operand cannot be recorded.  ``"off"`` always executes eagerly.
     graph_replay: str = "auto"
     #: Network optimiser, resolved through :data:`repro.registry.optimizers`
     #: (``"adam"``, ``"adamw"``, ``"rmsprop"``, ``"sgd"``).  All registered

@@ -14,8 +14,9 @@ shapes, dtypes, the training dtype policy and the full config repr.  Any
 change misses and re-records.  Minibatch loaders materialise fresh arrays
 every step, so signatures never repeat; a thrash guard notices the
 consecutive misses and turns taping off after a few steps (minibatch replay
-would be correct but no faster).  Unsupported ops abort the recording and
-permanently fall back to eager with a one-time warning.
+would be correct but no faster).  An operand the recorder cannot classify
+aborts the recording and permanently falls back to eager with a one-time
+warning.
 """
 
 from __future__ import annotations

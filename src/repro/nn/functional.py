@@ -14,15 +14,19 @@ primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
 regularizer graphs by an order of magnitude (see ``repro bench-autodiff``)
 while computing bit-identical forward values, so the golden-regression
 suite pins them to the unfused history.
+
+Each function here only coerces and validates its arguments; the op's
+forward and VJP are defined once, in :mod:`repro.nn.kernels`, and run
+through the eager execution path :func:`repro.nn.tensor._apply`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .tensor import ArrayLike, Tensor, _matmul_vjp, _tape_record, as_tensor, get_default_dtype
+from .tensor import ArrayLike, Tensor, _apply, as_tensor, get_default_dtype
 
 __all__ = [
     "elu",
@@ -80,42 +84,10 @@ def linear(x: ArrayLike, weight: Tensor, bias: Optional[Tensor] = None) -> Tenso
     Supports the same 1-D/2-D operand ranks as :meth:`Tensor.matmul`; the
     bias gradient is reduced over broadcast dimensions.
     """
-    x_t = as_tensor(x)
-    w_t = as_tensor(weight)
-    if bias is None:
-        out_data = x_t.data @ w_t.data
-
-        def backward(grad: np.ndarray, a=x_t, w=w_t) -> None:
-            grad_a, grad_w = _matmul_vjp(grad, a.data, w.data)
-            out._send(a, grad_a)
-            out._send(w, grad_w)
-
-        out = Tensor._make(out_data, (x_t, w_t), backward)
-        return _tape_record(out, "linear", (x_t, w_t))
-
-    b_t = as_tensor(bias)
-    out_data = (x_t.data @ w_t.data) + b_t.data
-
-    def backward(grad: np.ndarray, a=x_t, w=w_t, b=b_t) -> None:
-        grad_a, grad_w = _matmul_vjp(grad, a.data, w.data)
-        out._send(a, grad_a)
-        out._send(w, grad_w)
-        out._send(b, grad)
-
-    out = Tensor._make(out_data, (x_t, w_t, b_t), backward)
-    return _tape_record(out, "linear", (x_t, w_t, b_t))
-
-
-def _pairwise_sq_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-
-
-def _pairwise_sq_vjp(
-    grad: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple:
-    grad_a = 2.0 * a * grad.sum(axis=1, keepdims=True) - 2.0 * (grad @ b)
-    grad_b = 2.0 * b * grad.sum(axis=0)[:, None] - 2.0 * (grad.T @ a)
-    return grad_a, grad_b
+    parents = (as_tensor(x), as_tensor(weight))
+    if bias is not None:
+        parents += (as_tensor(bias),)
+    return _apply("linear", parents)
 
 
 def pairwise_sq_dists(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -128,15 +100,7 @@ def pairwise_sq_dists(a: ArrayLike, b: ArrayLike) -> Tensor:
     b_t = as_tensor(b)
     if a_t.ndim != 2 or b_t.ndim != 2:
         raise ValueError("pairwise_sq_dists expects 2-D (rows, features) inputs")
-    out_data = _pairwise_sq_data(a_t.data, b_t.data)
-
-    def backward(grad: np.ndarray, at=a_t, bt=b_t) -> None:
-        grad_a, grad_b = _pairwise_sq_vjp(grad, at.data, bt.data)
-        out._send(at, grad_a)
-        out._send(bt, grad_b)
-
-    out = Tensor._make(out_data, (a_t, b_t), backward)
-    return _tape_record(out, "pairwise_sq_dists", (a_t, b_t))
+    return _apply("pairwise_sq_dists", (a_t, b_t))
 
 
 def rbf_kernel(a: ArrayLike, b: ArrayLike, sigma: float = 1.0) -> Tensor:
@@ -150,17 +114,7 @@ def rbf_kernel(a: ArrayLike, b: ArrayLike, sigma: float = 1.0) -> Tensor:
     b_t = as_tensor(b)
     if a_t.ndim != 2 or b_t.ndim != 2:
         raise ValueError("rbf_kernel expects 2-D (rows, features) inputs")
-    scale = -1.0 / (2.0 * sigma ** 2)
-    out_data = np.exp(_pairwise_sq_data(a_t.data, b_t.data) * scale)
-
-    def backward(grad: np.ndarray, at=a_t, bt=b_t, s=scale) -> None:
-        grad_sq = grad * out.data * s
-        grad_a, grad_b = _pairwise_sq_vjp(grad_sq, at.data, bt.data)
-        out._send(at, grad_a)
-        out._send(bt, grad_b)
-
-    out = Tensor._make(out_data, (a_t, b_t), backward)
-    return _tape_record(out, "rbf_kernel", (a_t, b_t), {"scale": scale})
+    return _apply("rbf_kernel", (a_t, b_t), {"scale": -1.0 / (2.0 * sigma ** 2)})
 
 
 def bce_with_logits(
@@ -172,30 +126,10 @@ def bce_with_logits(
     no intermediate sigmoid, no probability clipping, and the classic
     well-conditioned gradient ``w * (sigmoid(z) - t) / n``.
     """
-    z_t = as_tensor(logits)
-    t_t = as_tensor(target)
-    losses = np.logaddexp(0.0, z_t.data) - t_t.data * z_t.data
-    if weights is None:
-        arr = losses
-        parents: tuple = (z_t, t_t)
-        w_t = None
-    else:
-        w_t = as_tensor(weights)
-        arr = w_t.data * losses
-        parents = (z_t, t_t, w_t)
-    count = arr.size
-
-    def backward(grad: np.ndarray, z=z_t, t=t_t, w=w_t, losses=losses, n=count) -> None:
-        scale = grad / n
-        sig = 1.0 / (1.0 + np.exp(-np.clip(z.data, -60.0, 60.0)))
-        weighted_scale = scale if w is None else scale * w.data
-        out._send(z, weighted_scale * (sig - t.data))
-        out._send(t, -weighted_scale * z.data)
-        if w is not None:
-            out._send(w, scale * losses)
-
-    out = Tensor._make(np.asarray(arr.mean(), dtype=arr.dtype), parents, backward)
-    return _tape_record(out, "bce_with_logits", parents)
+    parents = (as_tensor(logits), as_tensor(target))
+    if weights is not None:
+        parents += (as_tensor(weights),)
+    return _apply("bce_with_logits", parents)
 
 
 # --------------------------------------------------------------------------- #
@@ -203,19 +137,7 @@ def bce_with_logits(
 # --------------------------------------------------------------------------- #
 def mse_loss(prediction: ArrayLike, target: ArrayLike) -> Tensor:
     """Mean squared error (fused single node)."""
-    p_t = as_tensor(prediction)
-    t_t = as_tensor(target)
-    diff = p_t.data - t_t.data
-    arr = diff * diff
-    count = arr.size
-
-    def backward(grad: np.ndarray, p=p_t, t=t_t, diff=diff, n=count) -> None:
-        grad_p = (2.0 * (grad / n)) * diff
-        out._send(p, grad_p)
-        out._send(t, -grad_p)
-
-    out = Tensor._make(np.asarray(arr.mean(), dtype=arr.dtype), (p_t, t_t), backward)
-    return _tape_record(out, "mse_loss", (p_t, t_t))
+    return _apply("mse_loss", (as_tensor(prediction), as_tensor(target)))
 
 
 def weighted_mse_loss(prediction: ArrayLike, target: ArrayLike, weights: ArrayLike) -> Tensor:
@@ -224,86 +146,28 @@ def weighted_mse_loss(prediction: ArrayLike, target: ArrayLike, weights: ArrayLi
     ``weights`` are not assumed to sum to ``n``; the loss divides by ``n`` so
     the scale matches the unweighted loss when all weights are one.
     """
-    p_t = as_tensor(prediction)
-    t_t = as_tensor(target)
-    w_t = as_tensor(weights)
-    diff = p_t.data - t_t.data
-    arr = w_t.data * diff * diff
-    count = arr.size
-
-    def backward(grad: np.ndarray, p=p_t, t=t_t, w=w_t, diff=diff, n=count) -> None:
-        scale = grad / n
-        grad_p = (2.0 * scale) * (w.data * diff)
-        out._send(p, grad_p)
-        out._send(t, -grad_p)
-        out._send(w, scale * (diff * diff))
-
-    out = Tensor._make(np.asarray(arr.mean(), dtype=arr.dtype), (p_t, t_t, w_t), backward)
-    return _tape_record(out, "weighted_mse_loss", (p_t, t_t, w_t))
-
-
-def _bce_fused(
-    prediction: Tensor, target: Tensor, weights: Optional[Tensor], eps: float
-) -> Tensor:
-    clipped = np.clip(prediction.data, eps, 1.0 - eps)
-    log_p = np.log(clipped)
-    log_1m = np.log(1.0 - clipped)
-    losses = -(target.data * log_p + (1.0 - target.data) * log_1m)
-    arr = losses if weights is None else weights.data * losses
-    count = arr.size
-
-    def backward(
-        grad: np.ndarray,
-        p=prediction,
-        t=target,
-        w=weights,
-        pc=clipped,
-        log_p=log_p,
-        log_1m=log_1m,
-        losses=losses,
-        lo=eps,
-        hi=1.0 - eps,
-        n=count,
-    ) -> None:
-        scale = grad / n
-        weighted_scale = scale if w is None else scale * w.data
-        in_band = (p.data >= lo) & (p.data <= hi)
-        local = (1.0 - t.data) / (1.0 - pc) - t.data / pc
-        out._send(p, weighted_scale * local * in_band)
-        out._send(t, weighted_scale * (log_1m - log_p))
-        if w is not None:
-            out._send(w, scale * losses)
-
-    parents = (prediction, target) if weights is None else (prediction, target, weights)
-    out = Tensor._make(np.asarray(arr.mean(), dtype=arr.dtype), parents, backward)
-    return _tape_record(out, "bce", parents, {"eps": eps})
+    return _apply(
+        "weighted_mse_loss", (as_tensor(prediction), as_tensor(target), as_tensor(weights))
+    )
 
 
 def binary_cross_entropy(prediction: ArrayLike, target: ArrayLike, eps: float = 1e-7) -> Tensor:
     """Binary cross-entropy on probabilities in ``(0, 1)`` (fused node)."""
-    return _bce_fused(as_tensor(prediction), as_tensor(target), None, eps)
+    return _apply("bce", (as_tensor(prediction), as_tensor(target)), {"eps": eps})
 
 
 def weighted_binary_cross_entropy(
     prediction: ArrayLike, target: ArrayLike, weights: ArrayLike, eps: float = 1e-7
 ) -> Tensor:
     """Sample-weighted binary cross-entropy (used for binary outcomes)."""
-    return _bce_fused(as_tensor(prediction), as_tensor(target), as_tensor(weights), eps)
+    parents = (as_tensor(prediction), as_tensor(target), as_tensor(weights))
+    return _apply("bce", parents, {"eps": eps})
 
 
 def l2_penalty(parameters) -> Tensor:
     """Sum of squared parameter values (the paper's ``R_l2`` term), fused."""
-    params = [as_tensor(param) for param in parameters]
-    total = np.asarray(0.0, dtype=get_default_dtype())
-    for param in params:
-        total = total + np.sum(param.data * param.data)
-
-    def backward(grad: np.ndarray, params=params) -> None:
-        for param in params:
-            out._send(param, (2.0 * grad) * param.data)
-
-    out = Tensor._make(np.asarray(total), tuple(params), backward)
-    return _tape_record(out, "l2_penalty", tuple(params), {"dtype": total.dtype})
+    params = tuple([as_tensor(param) for param in parameters])
+    return _apply("l2_penalty", params, {"dtype": np.dtype(get_default_dtype())})
 
 
 def normalize_rows(x: ArrayLike, eps: float = 1e-8) -> Tensor:
@@ -313,21 +177,7 @@ def normalize_rows(x: ArrayLike, eps: float = 1e-8) -> Tensor:
     VJP of the historical sum/sqrt/divide chain (including its ``1e-12``
     guard on the square root).
     """
-    x_t = as_tensor(x)
-    data = x_t.data
-    sq_norms = (data * data).sum(axis=1, keepdims=True)
-    roots = np.sqrt(sq_norms)
-    norms = roots + eps
-    out_data = data / norms
-
-    def backward(grad: np.ndarray, xt=x_t, roots=roots, norms=norms) -> None:
-        data = xt.data
-        grad_norm = (-grad * data / (norms ** 2)).sum(axis=1, keepdims=True)
-        grad_sq = grad_norm * (0.5 / np.maximum(roots, 1e-12))
-        out._send(xt, grad / norms + (2.0 * grad_sq) * data)
-
-    out = Tensor._make(out_data, (x_t,), backward)
-    return _tape_record(out, "normalize_rows", (x_t,), {"eps": eps})
+    return _apply("normalize_rows", (as_tensor(x),), {"eps": eps})
 
 
 # --------------------------------------------------------------------------- #
@@ -343,20 +193,10 @@ def rff_features(values: ArrayLike, frequencies: np.ndarray, phases: np.ndarray)
     v_t = as_tensor(values)
     freqs = np.asarray(frequencies, dtype=v_t.data.dtype).reshape(1, -1)
     phis = np.asarray(phases, dtype=v_t.data.dtype).reshape(1, -1)
-    column = v_t.data.reshape(-1, 1)
-    inner = column * freqs + phis
     # Python-float sqrt(2): a NumPy float64 scalar would promote float32
     # inputs to float64 under NEP 50, defeating the dtype policy here.
-    sqrt2 = 2.0 ** 0.5
-    out_data = np.cos(inner) * sqrt2
-
-    def backward(grad: np.ndarray, vt=v_t, inner=inner, freqs=freqs, sqrt2=sqrt2) -> None:
-        d_inner = grad * (-np.sin(inner)) * sqrt2
-        out._send(vt, (d_inner * freqs).sum(axis=1).reshape(vt.data.shape))
-
-    out = Tensor._make(out_data, (v_t,), backward)
-    return _tape_record(
-        out, "rff_features", (v_t,), {"frequencies": freqs, "phis": phis, "sqrt2": sqrt2}
+    return _apply(
+        "rff_features", (v_t,), {"frequencies": freqs, "phis": phis, "sqrt2": 2.0 ** 0.5}
     )
 
 
@@ -369,49 +209,7 @@ def weighted_sq_cross_cov(u: ArrayLike, v: ArrayLike, probs: ArrayLike) -> Tenso
     ``C_w = (p ⊙ (u - E_p u))ᵀ (v - E_p v)`` and is the inner loop of the
     Independence Regularizer (Eq. 9).
     """
-    u_t = as_tensor(u)
-    v_t = as_tensor(v)
-    p_t = as_tensor(probs)
-    u_data, v_data, p_data = u_t.data, v_t.data, p_t.data
-    mean_u = (p_data * u_data).sum(axis=0, keepdims=True)
-    mean_v = (p_data * v_data).sum(axis=0, keepdims=True)
-    u_centred = u_data - mean_u
-    v_centred = v_data - mean_v
-    weighted_u = p_data * u_centred
-    cross_cov = weighted_u.T @ v_centred
-    value = (cross_cov * cross_cov).sum()
-
-    def backward(
-        grad: np.ndarray,
-        ut=u_t,
-        vt=v_t,
-        pt=p_t,
-        uc=u_centred,
-        vc=v_centred,
-        pu=weighted_u,
-        cc=cross_cov,
-    ) -> None:
-        d_cc = (2.0 * grad) * cc
-        d_pu = vc @ d_cc.T
-        d_vc = pu @ d_cc
-        p_data = pt.data
-        # pu = p * uc
-        d_uc = p_data * d_pu
-        d_p = (d_pu * uc).sum(axis=1, keepdims=True)
-        # uc = u - mean_u ; mean_u = sum_i p_i u_i
-        d_mean_u = -d_uc.sum(axis=0, keepdims=True)
-        d_u = d_uc + p_data * d_mean_u
-        d_p = d_p + (ut.data * d_mean_u).sum(axis=1, keepdims=True)
-        # vc = v - mean_v ; mean_v = sum_i p_i v_i
-        d_mean_v = -d_vc.sum(axis=0, keepdims=True)
-        d_v = d_vc + p_data * d_mean_v
-        d_p = d_p + (vt.data * d_mean_v).sum(axis=1, keepdims=True)
-        out._send(ut, d_u)
-        out._send(vt, d_v)
-        out._send(pt, d_p.reshape(pt.data.shape))
-
-    out = Tensor._make(np.asarray(value), (u_t, v_t, p_t), backward)
-    return _tape_record(out, "weighted_sq_cross_cov", (u_t, v_t, p_t))
+    return _apply("weighted_sq_cross_cov", (as_tensor(u), as_tensor(v), as_tensor(probs)))
 
 
 def bilinear_weighted_sum(
@@ -422,18 +220,6 @@ def bilinear_weighted_sum(
     The three kernel expectations of a weighted MMD are exactly this shape;
     the forward matches ``(a[:, None] * K * b[None, :]).sum()`` bit-for-bit.
     """
-    a_t = as_tensor(weights_a)
-    k_t = as_tensor(kernel)
-    b_t = as_tensor(weights_b)
-    col = a_t.data.reshape(-1, 1)
-    row = b_t.data.reshape(1, -1)
-    weighted = col * k_t.data
-    value = (weighted * row).sum()
-
-    def backward(grad: np.ndarray, at=a_t, kt=k_t, bt=b_t, col=col, row=row, weighted=weighted) -> None:
-        out._send(at, (grad * (kt.data * row).sum(axis=1)).reshape(at.data.shape))
-        out._send(kt, grad * (col * row))
-        out._send(bt, (grad * weighted.sum(axis=0)).reshape(bt.data.shape))
-
-    out = Tensor._make(np.asarray(value), (a_t, k_t, b_t), backward)
-    return _tape_record(out, "bilinear_weighted_sum", (a_t, k_t, b_t))
+    return _apply(
+        "bilinear_weighted_sum", (as_tensor(weights_a), as_tensor(kernel), as_tensor(weights_b))
+    )

@@ -1,6 +1,7 @@
 """Engine-level tests for the autodiff hot-path overhaul.
 
-Covers the process-wide dtype policy, zero-copy gradient accumulation,
+Covers the per-thread dtype policy, grad mode and allocation counter,
+zero-copy gradient accumulation,
 graph retention/release semantics, the ``no_grad`` parent-retention fix
 and the ``__pow__`` zero-gradient guard.
 """
@@ -8,6 +9,7 @@ and the ``__pow__`` zero-gradient guard.
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.nn.tensor import (
     dtype_scope,
     get_default_dtype,
     graph_node_count,
+    is_grad_enabled,
     no_grad,
     set_default_dtype,
     tensor_alloc_count,
@@ -94,6 +97,50 @@ class TestDtypePolicy:
     def test_training_config_rejects_bad_dtype(self):
         with pytest.raises(ValueError, match="dtype"):
             TrainingConfig(dtype="float16")
+
+
+class TestThreadLocalState:
+    def test_grad_mode_dtype_and_alloc_count_do_not_leak_across_threads(self):
+        """One thread's no_grad / dtype_scope / allocations are invisible to another."""
+        holding = threading.Event()
+        release = threading.Event()
+        seen = {}
+
+        def holder():
+            with no_grad(), dtype_scope("float32"):
+                holding.set()
+                release.wait(10)
+
+        def reader():
+            seen["grad_enabled"] = is_grad_enabled()
+            seen["dtype"] = get_default_dtype()
+            before = tensor_alloc_count()
+            tensor = Tensor(np.ones(2), requires_grad=True)
+            seen["requires_grad"] = tensor.requires_grad
+            seen["tensor_dtype"] = tensor.data.dtype
+            seen["allocs"] = tensor_alloc_count() - before
+
+        main_before = tensor_alloc_count()
+        thread_a = threading.Thread(target=holder)
+        thread_a.start()
+        try:
+            assert holding.wait(10)
+            thread_b = threading.Thread(target=reader)
+            thread_b.start()
+            thread_b.join(10)
+        finally:
+            release.set()
+            thread_a.join(10)
+        assert not thread_a.is_alive() and not thread_b.is_alive()
+        assert seen == {
+            "grad_enabled": True,
+            "dtype": np.float64,
+            "requires_grad": True,
+            "tensor_dtype": np.float64,
+            "allocs": 1,
+        }
+        assert tensor_alloc_count() == main_before  # thread B counted on its own
+        assert is_grad_enabled() and get_default_dtype() is np.float64
 
 
 class TestGraphRetention:

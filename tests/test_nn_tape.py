@@ -6,7 +6,8 @@ Covers the contract of ``TrainingConfig.graph_replay``:
   minibatch — on the seed-11 golden protocol;
 * the tape invalidates (re-records) on shape, dtype and config changes and
   survives parameter-buffer replacement via re-recording;
-* unsupported ops abort recording and fall back to eager, once, loudly;
+* unclassifiable operands abort recording and fall back to eager, once,
+  loudly;
 * ``retain_graph`` / double-``backward()`` inside a recorded step raise
   :class:`GraphReplayError` naming ``graph_replay``;
 * the in-place optimisers allocate zero tensors per step and keep parameter
@@ -186,11 +187,20 @@ class TestInvalidation:
 
 
 class TestEagerFallback:
-    def test_unregistered_op_falls_back_with_one_warning(self, protocol, caplog, monkeypatch):
-        """An op without a tape kernel aborts recording; training stays eager."""
-        from repro.nn import tape as tape_module
+    def test_unrecordable_operand_falls_back_with_one_warning(self, protocol, caplog, monkeypatch):
+        """An operand replay cannot classify aborts recording; training stays eager."""
+        from repro.core.backbones.tarnet import TARNet
+        from repro.nn.tape import dynamic
 
-        monkeypatch.delitem(tape_module._FORWARD, "elu")
+        original = TARNet.network_loss
+
+        def network_loss(self, *args, **kwargs):
+            # A view into a per-step dynamic draw cannot be re-bound on
+            # replay.  Its zero sum leaves the loss and gradients unchanged.
+            zeros = dynamic(lambda: np.zeros(2))
+            return original(self, *args, **kwargs) + Tensor(zeros[:1]).sum()
+
+        monkeypatch.setattr(TARNet, "network_loss", network_loss)
         with caplog.at_level(logging.WARNING, logger="repro.core.replay"):
             fallback = _fit(protocol, _config(), backbone="tarnet", framework="vanilla")
         replay = fallback.trainer._replay
@@ -199,7 +209,7 @@ class TestEagerFallback:
         assert replay.stats["hits"] == 0
         warnings = [r for r in caplog.records if "falling back to eager" in r.getMessage()]
         assert len(warnings) == 1
-        assert "has no replay kernel" in warnings[0].getMessage()
+        assert "views a per-step dynamic array" in warnings[0].getMessage()
         monkeypatch.undo()
         eager = _fit(
             protocol, _config(graph_replay="off"), backbone="tarnet", framework="vanilla"
