@@ -58,13 +58,19 @@ PERF_GATES = (
         lambda record: record["serving"]["service_single_row_seconds"],
         "service_single_row_seconds",
     ),
-    # Graph-node counts are deterministic and hardware-independent, so this
-    # exact gate catches a de-fused regularizer graph even when CI-runner
+    # Graph-node counts are deterministic and hardware-independent, so these
+    # exact gates catch a de-fused regularizer graph even when CI-runner
     # timing noise would mask the slowdown: any extra node fails.
     PerfGate(
         "decorrelation graph nodes",
         lambda record: record["per_op"]["pairwise_decorrelation_loss"]["fused"]["graph_nodes"],
         "decorrelation_fused_graph_nodes",
+        limit=1.0,
+    ),
+    PerfGate(
+        "RBF-MMD graph nodes",
+        lambda record: record["per_op"]["mmd_rbf_weighted"]["fused"]["graph_nodes"],
+        "mmd_rbf_fused_graph_nodes",
         limit=1.0,
     ),
 )

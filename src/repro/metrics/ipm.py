@@ -217,9 +217,11 @@ def mmd_rbf_weighted(
 ) -> Tensor:
     """Differentiable RBF MMD between weighted group representations.
 
-    Built from the fused :func:`repro.nn.functional.rbf_kernel` /
-    :func:`repro.nn.functional.bilinear_weighted_sum` kernels — roughly a
-    dozen graph nodes per call instead of ~60, with bit-identical values.
+    Each kernel expectation ``Σ_ij w_i k(x_i, y_j) w_j`` is one fused
+    :func:`repro.nn.functional.weighted_rbf_mmd_term` node: blockwise
+    forward, matmul-form gradients and no ``n × n`` gradient matrix.  The
+    value matches the elementwise composition to rounding level (pinned by
+    ``tests/test_metrics_ipm.py``).
     """
     rep_control = as_tensor(rep_control)
     rep_treated = as_tensor(rep_treated)
@@ -233,9 +235,9 @@ def mmd_rbf_weighted(
     w_c = normalised(weights_control, len(rep_control))
     w_t = normalised(weights_treated, len(rep_treated))
 
-    k_cc = F.bilinear_weighted_sum(w_c, F.rbf_kernel(rep_control, rep_control, sigma), w_c)
-    k_tt = F.bilinear_weighted_sum(w_t, F.rbf_kernel(rep_treated, rep_treated, sigma), w_t)
-    k_ct = F.bilinear_weighted_sum(w_c, F.rbf_kernel(rep_control, rep_treated, sigma), w_t)
+    k_cc = F.weighted_rbf_mmd_term(rep_control, rep_control, w_c, w_c, sigma)
+    k_tt = F.weighted_rbf_mmd_term(rep_treated, rep_treated, w_t, w_t, sigma)
+    k_ct = F.weighted_rbf_mmd_term(rep_control, rep_treated, w_c, w_t, sigma)
     return k_cc + k_tt - 2.0 * k_ct
 
 

@@ -8,12 +8,13 @@ evaluation code.
 The fused kernels (:func:`linear`, :func:`pairwise_sq_dists`,
 :func:`rbf_kernel`, :func:`bce_with_logits`, the weighted losses,
 :func:`rff_features`, :func:`weighted_sq_cross_cov`,
-:func:`bilinear_weighted_sum`) record a *single* graph node with a
+:func:`weighted_rbf_mmd_term`) record a *single* graph node with a
 closed-form vector-Jacobian product instead of composing dozens of broadcast
 primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
-regularizer graphs by an order of magnitude (see ``repro bench-autodiff``)
-while computing bit-identical forward values, so the golden-regression
-suite pins them to the unfused history.
+regularizer graphs by an order of magnitude (see ``repro bench-autodiff``).
+All but :func:`weighted_rbf_mmd_term` compute bit-identical forward values,
+so the golden-regression suite pins them to the unfused history; that one
+uses GEMM-form arithmetic and matches its composition to rounding.
 
 Each function here only coerces and validates its arguments; the op's
 forward and VJP are defined once, in :mod:`repro.nn.kernels`, and run
@@ -46,7 +47,7 @@ __all__ = [
     "normalize_rows",
     "rff_features",
     "weighted_sq_cross_cov",
-    "bilinear_weighted_sum",
+    "weighted_rbf_mmd_term",
 ]
 
 
@@ -212,14 +213,23 @@ def weighted_sq_cross_cov(u: ArrayLike, v: ArrayLike, probs: ArrayLike) -> Tenso
     return _apply("weighted_sq_cross_cov", (as_tensor(u), as_tensor(v), as_tensor(probs)))
 
 
-def bilinear_weighted_sum(
-    weights_a: ArrayLike, kernel: ArrayLike, weights_b: ArrayLike
+def weighted_rbf_mmd_term(
+    a: ArrayLike, b: ArrayLike, weights_a: ArrayLike, weights_b: ArrayLike, sigma: float = 1.0
 ) -> Tensor:
-    """Weighted bilinear form ``Σ_ij a_i K_ij b_j`` as one fused node.
+    """One weighted RBF-MMD kernel expectation ``Σ_ij wa_i K_ij wb_j`` as one node.
 
-    The three kernel expectations of a weighted MMD are exactly this shape;
-    the forward matches ``(a[:, None] * K * b[None, :]).sum()`` bit-for-bit.
+    ``K = exp(-||a_i - b_j||² / (2σ²))`` over the 2-D rows of ``a`` / ``b``;
+    ``weights_a`` / ``weights_b`` are 1-D, one weight per row.  The kernel
+    matrix is formed block by block and the VJP is in matmul form, so no
+    ``n_a × n_b`` gradient matrix is ever built.  The value equals
+    ``(wa[:, None] * rbf_kernel(a, b, σ) * wb[None, :]).sum()`` to rounding.
     """
+    a_t, b_t = as_tensor(a), as_tensor(b)
+    wa_t, wb_t = as_tensor(weights_a), as_tensor(weights_b)
+    if a_t.ndim != 2 or b_t.ndim != 2:
+        raise ValueError("weighted_rbf_mmd_term expects 2-D (rows, features) inputs")
+    if wa_t.shape != (a_t.shape[0],) or wb_t.shape != (b_t.shape[0],):
+        raise ValueError("weighted_rbf_mmd_term expects one 1-D weight per row")
     return _apply(
-        "bilinear_weighted_sum", (as_tensor(weights_a), as_tensor(kernel), as_tensor(weights_b))
+        "weighted_rbf_mmd_term", (a_t, b_t, wa_t, wb_t), {"scale": -1.0 / (2.0 * sigma ** 2)}
     )

@@ -29,8 +29,9 @@ result *is* a view of the input, which replay relies on to skip them.
 
 Every forward is an in-place ufunc sequence IEEE-identical to the plain
 NumPy expression it replaces (noted beside each kernel where not obvious),
-so results are bit-for-bit those of the expression.  This module depends on
-NumPy alone.
+so results are bit-for-bit those of the expression.  The one exception is
+``weighted_rbf_mmd_term``, which trades that for GEMM-form arithmetic and
+matches its expression to rounding.  This module depends on NumPy alone.
 """
 
 from __future__ import annotations
@@ -840,53 +841,80 @@ def _cross_cov_vjp(grad, ins, out, attrs, ctx, needs):
     d_vc = pu @ d_cc
     # pu = p * uc
     d_uc = p * d_pu
-    d_p = (d_pu * uc).sum(axis=1, keepdims=True)
-    # uc = u - mean_u ; mean_u = sum_i p_i u_i
+    # uc = u - mean_u ; mean_u = sum_i p_i u_i  (likewise for v)
     d_mean_u = -d_uc.sum(axis=0, keepdims=True)
-    d_u = d_uc + p * d_mean_u
-    d_p = d_p + (u * d_mean_u).sum(axis=1, keepdims=True)
-    # vc = v - mean_v ; mean_v = sum_i p_i v_i
     d_mean_v = -d_vc.sum(axis=0, keepdims=True)
-    d_v = d_vc + p * d_mean_v
-    d_p = d_p + (v * d_mean_v).sum(axis=1, keepdims=True)
-    return (
-        d_u if needs[0] else None,
-        d_v if needs[1] else None,
-        d_p.reshape(p.shape) if needs[2] else None,
-    )
+    d_u = d_uc + p * d_mean_u if needs[0] else None
+    d_v = d_vc + p * d_mean_v if needs[1] else None
+    d_p = None
+    if needs[2]:
+        d_p = (d_pu * uc).sum(axis=1, keepdims=True)
+        d_p = d_p + (u * d_mean_u).sum(axis=1, keepdims=True)
+        d_p = d_p + (v * d_mean_v).sum(axis=1, keepdims=True)
+        d_p = d_p.reshape(p.shape)
+    return (d_u, d_v, d_p)
 
 
 _register("weighted_sq_cross_cov", _cross_cov_fwd, _cross_cov_vjp, _scalar)
 
 
-def _bilinear_fwd(out, ins, attrs, ctx):
-    # sum_ij a_i K_ij b_j == (a[:, None] * K * b[None, :]).sum()
-    a, kernel, b = ins
-    weighted = _scratch(ctx, "weighted", kernel.shape, kernel.dtype)
-    np.multiply(a.reshape(-1, 1), kernel, out=weighted)
-    t = _scratch(ctx, "t", kernel.shape, kernel.dtype)
-    np.multiply(weighted, b.reshape(1, -1), out=t)
-    out[...] = t.sum()
+#: Rows of ``a`` per block of :func:`_rbf_mmd_fwd`: a 128-row slice of the
+#: kernel matrix stays cache-resident while it is exponentiated and reduced.
+_MMD_BLOCK_ROWS = 128
 
 
-def _bilinear_vjp(grad, ins, out, attrs, ctx, needs):
-    a, kernel, b = ins
-    col = a.reshape(-1, 1)
-    row = b.reshape(1, -1)
-    t = _scratch(ctx, "t", kernel.shape, kernel.dtype)
-    ga = gk = gb = None
+def _rbf_mmd_fwd(out, ins, attrs, ctx):
+    # sum_ij wa_i K_ij wb_j, K = exp(s ||a_i - b_j||^2), one row block at a
+    # time.  s ||a_i - b_j||^2 = [-2s a_i, s |a_i|^2, s] . [b_j, 1, |b_j|^2]
+    # is one GEMM, so K matches rbf_kernel (and the sum, taken as
+    # wa . (K wb), the elementwise composition) to rounding only.  K and
+    # K wb stay in ctx for the VJP.
+    a, b, wa, wb = ins
+    scale = attrs["scale"]
+    n_a, n_b, d = a.shape[0], b.shape[0], a.shape[1]
+    left = _scratch(ctx, "left", (n_a, d + 2), a.dtype)
+    np.multiply(a, -2.0 * scale, out=left[:, :d])
+    np.multiply((a * a).sum(axis=1), scale, out=left[:, d])
+    left[:, d + 1] = scale
+    right = _scratch(ctx, "right", (n_b, d + 2), b.dtype)
+    right[:, :d] = b
+    right[:, d] = 1.0
+    (b * b).sum(axis=1, out=right[:, d + 1])
+    k = _scratch(ctx, "k", (n_a, n_b), a.dtype)
+    kwb = _scratch(ctx, "kwb", (n_a,), a.dtype)
+    for lo in range(0, n_a, _MMD_BLOCK_ROWS):
+        kb = k[lo : lo + _MMD_BLOCK_ROWS]
+        np.matmul(left[lo : lo + _MMD_BLOCK_ROWS], right.T, out=kb)
+        np.exp(kb, out=kb)
+        np.matmul(kb, wb, out=kwb[lo : lo + _MMD_BLOCK_ROWS])
+    out[...] = np.dot(wa, kwb)
+
+
+def _rbf_mmd_vjp(grad, ins, out, attrs, ctx, needs):
+    # Matmul form, no n_a x n_b gradient matrix (s = scale):
+    #   g_wa = grad K wb                g_a = 2s grad wa * (a * K wb - K (wb * b))
+    #   g_wb = grad K^T wa              g_b = 2s grad wb * (b * K^T wa - K^T (wa * a))
+    a, b, wa, wb = ins
+    k, kwb = ctx["k"], ctx["kwb"]
+    ga = gb = None
+    if needs[1] or needs[3]:
+        ktwa = _scratch(ctx, "ktwa", wb.shape, wb.dtype)
+        np.matmul(wa, k, out=ktwa)
+    if needs[0] or needs[1]:
+        step = (2.0 * attrs["scale"]) * grad
     if needs[0]:
-        # grad * (kernel * row).sum(axis=1)
-        np.multiply(kernel, row, out=t)
-        ga = (grad * t.sum(axis=1)).reshape(a.shape)
+        ga = _scratch(ctx, "ga", a.shape, a.dtype)
+        np.matmul(k, wb[:, None] * b, out=ga)
+        np.subtract(a * kwb[:, None], ga, out=ga)
+        np.multiply(ga, (step * wa)[:, None], out=ga)
     if needs[1]:
-        # grad * (col * row); a*b == b*a bitwise, so the scalar grad folds
-        # in-place after the outer product.
-        np.multiply(col, row, out=t)
-        gk = np.multiply(t, grad, out=t)
-    if needs[2]:
-        gb = (grad * ctx["weighted"].sum(axis=0)).reshape(b.shape)
-    return (ga, gk, gb)
+        gb = _scratch(ctx, "gb", b.shape, b.dtype)
+        np.matmul(k.T, wa[:, None] * a, out=gb)
+        np.subtract(b * ktwa[:, None], gb, out=gb)
+        np.multiply(gb, (step * wb)[:, None], out=gb)
+    gwa = grad * kwb if needs[2] else None
+    gwb = grad * ktwa if needs[3] else None
+    return (ga, gb, gwa, gwb)
 
 
-_register("bilinear_weighted_sum", _bilinear_fwd, _bilinear_vjp, _scalar)
+_register("weighted_rbf_mmd_term", _rbf_mmd_fwd, _rbf_mmd_vjp, _scalar)

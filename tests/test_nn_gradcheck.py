@@ -389,14 +389,71 @@ def test_weighted_sq_cross_cov_gradients(seed, n, k, m):
     check_gradients(F.weighted_sq_cross_cov, u, v, probs, seed=seed)
 
 
-@given(seed=seeds, n=st.integers(min_value=1, max_value=4), m=st.integers(min_value=1, max_value=4))
+def _mmd_term_operands(rng, n, m, features):
+    return (
+        rng.normal(size=(n, features)),
+        rng.normal(size=(m, features)),
+        np.abs(rng.normal(size=(n,))) + 0.1,
+        np.abs(rng.normal(size=(m,))) + 0.1,
+    )
+
+
+@given(seed=seeds, n=st.integers(min_value=1, max_value=4), m=st.integers(min_value=1, max_value=4), features=dims)
 @settings(**GRADCHECK_SETTINGS)
-def test_bilinear_weighted_sum_gradients(seed, n, m):
-    rng = np.random.default_rng(seed)
-    wa = np.abs(rng.normal(size=(n,))) + 0.1
-    kernel = rng.normal(size=(n, m))
-    wb = np.abs(rng.normal(size=(m,))) + 0.1
-    check_gradients(F.bilinear_weighted_sum, wa, kernel, wb, seed=seed)
+def test_weighted_rbf_mmd_term_gradients(seed, n, m, features):
+    operands = _mmd_term_operands(np.random.default_rng(seed), n, m, features)
+    check_gradients(
+        lambda a, b, wa, wb: F.weighted_rbf_mmd_term(a, b, wa, wb, 1.3), *operands, seed=seed
+    )
+
+
+@given(seed=seeds, n=st.integers(min_value=1, max_value=4), features=dims)
+@settings(**GRADCHECK_SETTINGS)
+def test_weighted_rbf_mmd_term_same_operand_gradients(seed, n, features):
+    """``a is b`` (the k_cc / k_tt terms): the engine sums both operand VJPs."""
+    a, _, w, _ = _mmd_term_operands(np.random.default_rng(seed), n, n, features)
+    check_gradients(lambda x, v: F.weighted_rbf_mmd_term(x, x, v, v, 0.8), a, w, seed=seed)
+
+
+MMD_TERM_OPERANDS = ("a", "b", "wa", "wb")
+NEEDS_SUBSETS = [tuple(bool(mask >> i & 1) for i in range(4)) for mask in range(1, 16)]
+
+
+def _needs_id(needs) -> str:
+    return "+".join(name for name, need in zip(MMD_TERM_OPERANDS, needs) if need)
+
+
+@pytest.mark.parametrize("needs", NEEDS_SUBSETS, ids=_needs_id)
+def test_weighted_rbf_mmd_term_needs_subsets(needs):
+    """Each ``needs`` subset gets finite-difference-correct gradients, bitwise
+    equal to the all-operand VJP's (only the requested tails are formed)."""
+    operands = _mmd_term_operands(np.random.default_rng(7), 4, 3, 2)
+    positions = [i for i, need in enumerate(needs) if need]
+
+    def build(*varying):
+        args = list(operands)
+        for i, value in zip(positions, varying):
+            args[i] = value
+        return F.weighted_rbf_mmd_term(*args, 1.3)
+
+    check_gradients(build, *[operands[i] for i in positions], seed=3)
+
+    full = [Tensor(x, requires_grad=True) for x in operands]
+    scalar_loss(F.weighted_rbf_mmd_term(*full, 1.3), 3).backward()
+    subset = [Tensor(x, requires_grad=need) for x, need in zip(operands, needs)]
+    scalar_loss(F.weighted_rbf_mmd_term(*subset, 1.3), 3).backward()
+    for leaf, reference, need in zip(subset, full, needs):
+        if need:
+            assert np.array_equal(leaf.grad, reference.grad)
+        else:
+            assert leaf.grad is None
+
+
+def test_weighted_rbf_mmd_term_rejects_bad_operands():
+    with pytest.raises(ValueError):
+        F.weighted_rbf_mmd_term(np.ones(3), np.ones((2, 3)), np.ones(1), np.ones(2))
+    with pytest.raises(ValueError):
+        F.weighted_rbf_mmd_term(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 1)), np.ones(2))
 
 
 @given(seed=seeds, n_control=st.integers(min_value=2, max_value=4), n_treated=st.integers(min_value=2, max_value=4), features=dims)

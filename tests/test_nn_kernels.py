@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.kernels import _FORWARD
+from repro.nn.kernels import _FORWARD, _VJP
 from repro.nn.tape import TapeRecorder
 from repro.nn.tensor import Tensor, concatenate, dtype_scope, stack
 
@@ -106,7 +106,14 @@ CASES = {
         [_normal(6, 1)],
     ),
     "weighted_sq_cross_cov": (F.weighted_sq_cross_cov, [_normal(6, 3), _normal(6, 2), _unit(6, 1)]),
-    "bilinear_weighted_sum": (F.bilinear_weighted_sum, [_unit(5), _normal(5, 4), _unit(4)]),
+    "weighted_rbf_mmd_term": (
+        lambda a, b, wa, wb: F.weighted_rbf_mmd_term(a, b, wa, wb, 1.3),
+        [_normal(5, 3), _normal(4, 3), _unit(5), _unit(4)],
+    ),
+    "weighted_rbf_mmd_term-same-operand": (
+        lambda a, w: F.weighted_rbf_mmd_term(a, a, w, w, 1.3),
+        [_normal(5, 3), _unit(5)],
+    ),
 }
 
 DTYPES = ("float64", "float32")
@@ -174,6 +181,19 @@ def test_cases_cover_every_kernel():
         leaves = [Tensor(make(rng), requires_grad=True) for make in makers]
         reached |= _graph_ops(build(*leaves))
     assert reached == set(_FORWARD)
+
+
+def test_cross_cov_vjp_weights_only_matches_full():
+    """With detached features only ``d_p`` is formed, bitwise as in a full call."""
+    rng = np.random.default_rng(3)
+    ins = (rng.normal(size=(9, 5)), rng.normal(size=(9, 4)), rng.uniform(0.05, 0.2, size=(9, 1)))
+    out, ctx = np.empty(()), {}
+    _FORWARD["weighted_sq_cross_cov"](out, ins, {}, ctx)
+    grad = np.asarray(0.7)
+    full = _VJP["weighted_sq_cross_cov"](grad, ins, out, {}, ctx, (True, True, True))
+    weights_only = _VJP["weighted_sq_cross_cov"](grad, ins, out, {}, ctx, (False, False, True))
+    assert weights_only[0] is None and weights_only[1] is None
+    assert np.array_equal(weights_only[2], full[2])
 
 
 #: Tensor attributes that are not ops (introspection, graph control).
@@ -256,8 +276,8 @@ PUBLIC_OPS = {
     "normalize_rows_fn": lambda: F.normalize_rows(_x()),
     "rff_features_fn": lambda: F.rff_features(_p(), np.ones(3), np.zeros(3)),
     "weighted_sq_cross_cov_fn": lambda: F.weighted_sq_cross_cov(_x(), _x(), _p()),
-    "bilinear_weighted_sum_fn": lambda: F.bilinear_weighted_sum(
-        _p().reshape(-1), _x() @ _x().T, _p().reshape(-1)
+    "weighted_rbf_mmd_term_fn": lambda: F.weighted_rbf_mmd_term(
+        _x(), _x(), _p().reshape(-1), _p().reshape(-1)
     ),
 }
 

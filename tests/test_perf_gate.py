@@ -75,13 +75,30 @@ class TestGraphNodeGate:
         assert len(self.GATES) == 1 and self.GATES[0].limit == 1.0
         assert check_perf_regression(self._record(nodes), str(baseline), self.GATES) == code
 
+    @pytest.mark.parametrize("nodes, code", [(21, 1), (20, 0), (19, 0)])
+    def test_any_mmd_graph_increase_fails(self, tmp_path, nodes, code):
+        gates = [
+            gate
+            for gate in autodiff_benchmark.PERF_GATES
+            if gate.key == "mmd_rbf_fused_graph_nodes"
+        ]
+        baseline = tmp_path / "BENCH_autodiff.json"
+        baseline.write_text(json.dumps({"smoke_reference": {"mmd_rbf_fused_graph_nodes": 20}}))
+        record = {
+            "mode": "smoke",
+            "per_op": {"mmd_rbf_weighted": {"fused": {"graph_nodes": nodes}}},
+        }
+        assert len(gates) == 1 and gates[0].limit == 1.0
+        assert check_perf_regression(record, str(baseline), gates) == code
+
     def test_timings_keep_the_regression_factor(self):
         limits = {
             gate.key: gate.limit
             for module in MODULES.values()
             for gate in module.PERF_GATES
         }
-        del limits["decorrelation_fused_graph_nodes"]
+        for key in ("decorrelation_fused_graph_nodes", "mmd_rbf_fused_graph_nodes"):
+            assert limits.pop(key) == 1.0
         assert set(limits.values()) == {REGRESSION_FACTOR}
 
 
